@@ -1,9 +1,9 @@
 //! Halo engine microbenchmarks: the Fig. 5 transposes (naive vs tiled),
-//! full 2-D/3-D exchanges per strategy, and batched vs separate
-//! multi-field updates.
+//! full 3-D exchanges per strategy, and batched vs separate multi-field
+//! updates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use halo_exchange::{transpose, FoldKind, Halo2D, Halo3D, Strategy3D};
+use halo_exchange::{transpose, FoldKind, Halo, Strategy3D};
 use kokkos_rs::{View, View3};
 use mpi_sim::{CartComm, World};
 use std::time::Duration;
@@ -39,8 +39,8 @@ fn bench_exchange_strategies(c: &mut Criterion) {
             b.iter(|| {
                 World::run(1, |comm| {
                     let cart = CartComm::new(comm.clone(), 1, 1, true);
-                    let h = Halo3D::new(Halo2D::new(&cart, 64, 32), 20, strategy);
-                    let f: View3<f64> = View::host("f", h.shape());
+                    let h = Halo::new(&cart, 64, 32).with_strategy(strategy);
+                    let f: View3<f64> = View::host("f", h.shape(20));
                     f.fill(1.0);
                     for tag in 0..4 {
                         h.exchange(&f, FoldKind::Scalar, tag * 100);
@@ -61,9 +61,9 @@ fn bench_batched(c: &mut Criterion) {
         b.iter(|| {
             World::run(2, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 64, 32), 20, Strategy3D::Transpose);
-                let u: View3<f64> = View::host("u", h.shape());
-                let v: View3<f64> = View::host("v", h.shape());
+                let h = Halo::new(&cart, 64, 32).with_strategy(Strategy3D::Transpose);
+                let u: View3<f64> = View::host("u", h.shape(20));
+                let v: View3<f64> = View::host("v", h.shape(20));
                 h.exchange(&u, FoldKind::Vector, 0);
                 h.exchange(&v, FoldKind::Scalar, 50);
             })
@@ -73,10 +73,11 @@ fn bench_batched(c: &mut Criterion) {
         b.iter(|| {
             World::run(2, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 64, 32), 20, Strategy3D::Transpose);
-                let u: View3<f64> = View::host("u", h.shape());
-                let v: View3<f64> = View::host("v", h.shape());
-                h.exchange_many(&[(&u, FoldKind::Vector), (&v, FoldKind::Scalar)], 0);
+                let h = Halo::new(&cart, 64, 32).with_strategy(Strategy3D::Transpose);
+                let u: View3<f64> = View::host("u", h.shape(20));
+                let v: View3<f64> = View::host("v", h.shape(20));
+                h.try_exchange(&[(&u, FoldKind::Vector), (&v, FoldKind::Scalar)], 0)
+                    .unwrap();
             })
         })
     });
@@ -98,8 +99,8 @@ fn bench_pooled_vs_allocating(c: &mut Criterion) {
         b.iter(|| {
             World::run(2, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 512, 512), 60, Strategy3D::Transpose);
-                let f: View3<f64> = View::host("f", h.shape());
+                let h = Halo::new(&cart, 512, 512).with_strategy(Strategy3D::Transpose);
+                let f: View3<f64> = View::host("f", h.shape(60));
                 f.fill(1.0);
                 for tag in 0..STEPS {
                     h.exchange(&f, FoldKind::Scalar, tag * 100);
@@ -111,11 +112,11 @@ fn bench_pooled_vs_allocating(c: &mut Criterion) {
         b.iter(|| {
             World::run(2, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 512, 512), 60, Strategy3D::Transpose);
-                let f: View3<f64> = View::host("f", h.shape());
+                let h = Halo::new(&cart, 512, 512).with_strategy(Strategy3D::Transpose);
+                let f: View3<f64> = View::host("f", h.shape(60));
                 f.fill(1.0);
                 for tag in 0..STEPS {
-                    h.exchange_alloc(&f, FoldKind::Scalar, tag * 100);
+                    h.exchange_alloc(&[(&f, FoldKind::Scalar)], tag * 100);
                 }
             })
         })
@@ -136,8 +137,8 @@ fn bench_integrity_overhead(c: &mut Criterion) {
         b.iter(|| {
             World::run(2, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 512, 512), 60, Strategy3D::Transpose);
-                let f: View3<f64> = View::host("f", h.shape());
+                let h = Halo::new(&cart, 512, 512).with_strategy(Strategy3D::Transpose);
+                let f: View3<f64> = View::host("f", h.shape(60));
                 f.fill(1.0);
                 for step in 0..STEPS {
                     h.exchange(&f, FoldKind::Scalar, step * 100);
@@ -149,13 +150,15 @@ fn bench_integrity_overhead(c: &mut Criterion) {
         b.iter(|| {
             World::run(2, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 512, 512), 60, Strategy3D::Transpose)
+                let h = Halo::new(&cart, 512, 512)
+                    .with_strategy(Strategy3D::Transpose)
                     .with_integrity(halo_exchange::IntegrityConfig::default());
-                let f: View3<f64> = View::host("f", h.shape());
+                let f: View3<f64> = View::host("f", h.shape(60));
                 f.fill(1.0);
                 for step in 0..STEPS {
                     h.begin_step(step);
-                    h.try_exchange(&f, FoldKind::Scalar, step * 100).unwrap();
+                    h.try_exchange(&[(&f, FoldKind::Scalar)], step * 100)
+                        .unwrap();
                 }
             })
         })
@@ -165,7 +168,8 @@ fn bench_integrity_overhead(c: &mut Criterion) {
 
 /// Serial vs parallel strip pack/unpack: the same single-rank exchange
 /// (pack and unpack dominate — no real network) dispatched over the Serial
-/// and Threads execution spaces via `Halo3D::with_space`.
+/// and Threads execution spaces via `Halo::with_space`. Every strip of
+/// this tile is above the inline-copy threshold, so Threads launches.
 fn bench_pack_spaces(c: &mut Criterion) {
     const STEPS: u64 = 16;
     let mut g = c.benchmark_group("halo3d_pack_512x512x60_1rank_16x");
@@ -180,9 +184,10 @@ fn bench_pack_spaces(c: &mut Criterion) {
             b.iter(|| {
                 World::run(1, |comm| {
                     let cart = CartComm::new(comm.clone(), 1, 1, true);
-                    let h = Halo3D::new(Halo2D::new(&cart, 512, 512), 60, Strategy3D::Transpose)
+                    let h = Halo::new(&cart, 512, 512)
+                        .with_strategy(Strategy3D::Transpose)
                         .with_space(space.clone());
-                    let f: View3<f64> = View::host("f", h.shape());
+                    let f: View3<f64> = View::host("f", h.shape(60));
                     f.fill(1.0);
                     for tag in 0..STEPS {
                         h.exchange(&f, FoldKind::Scalar, tag * 100);

@@ -2,7 +2,7 @@
 //!
 //! At the paper's machine scale a halo payload can arrive corrupted,
 //! truncated, duplicated, stale — or not at all. When integrity is
-//! enabled on a [`crate::Halo2D`]/[`crate::Halo3D`] (it is opt-in so the
+//! enabled on a [`crate::Halo`] (it is opt-in so the
 //! bare exchange keeps its exact byte counts), every strip travels as a
 //! *frame*:
 //!

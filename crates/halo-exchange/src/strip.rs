@@ -1,7 +1,6 @@
 //! Parallel memcpy pack/unpack of halo strips (paper §V-D).
 //!
-//! The original `pack_strip`/`unpack_strip` walked one element at a time
-//! through `View::at`. A halo strip is a set of contiguous runs, though:
+//! A halo strip is a set of contiguous runs:
 //!
 //! * **HorizontalMajor** — every `(k, j)` row of the strip is `ni`
 //!   consecutive elements in both the field and the message buffer, so
@@ -13,15 +12,16 @@
 //! [`StripCopy`] expresses one run per iteration as a [`Functor1D`] so the
 //! copy dispatches over any kokkos execution space — serial, the rayon
 //! pool, or simulated CPEs (it is registered for the SwAthread backend
-//! like every other kernel). Runs are disjoint by construction, which is
-//! exactly the Kokkos concurrent-write contract.
+//! like every other kernel) — or runs inline on the caller when the strip
+//! is too small to pay for a launch. Runs are disjoint by construction,
+//! which is exactly the Kokkos concurrent-write contract.
 
 use kokkos_rs::functor::{Functor1D, IterCost};
 use kokkos_rs::parallel::parallel_for_1d;
 use kokkos_rs::policy::RangePolicy;
-use kokkos_rs::{Space, View2, View3};
+use kokkos_rs::{Space, View3};
 
-use crate::halo3d::Strategy3D;
+use crate::halo::{Rect, Strategy3D};
 
 /// Which way a [`StripCopy`] moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +32,7 @@ enum CopyDir {
     Unpack,
 }
 
-/// One halo-strip copy: `nj` rows × `ni` columns over `nz` levels of a
+/// One halo-strip copy: the rows × columns of `rect` over `nz` levels of a
 /// `(nz, pj, pi)` horizontal-major field, against a buffer in the order
 /// given by `order`. Each iteration copies one contiguous run. The side
 /// being read is only ever dereferenced through `*const` — the `Unpack`
@@ -44,10 +44,7 @@ struct StripCopy {
     plane: usize,
     /// Elements per field row (`pi`).
     row: usize,
-    j0: usize,
-    i0: usize,
-    nj: usize,
-    ni: usize,
+    rect: Rect,
     nz: usize,
     dir: CopyDir,
     order: Strategy3D,
@@ -63,62 +60,51 @@ impl StripCopy {
     /// Iterations needed: one per contiguous run.
     fn runs(&self) -> usize {
         match self.order {
-            Strategy3D::HorizontalMajor => self.nz * self.nj,
-            Strategy3D::Transpose => self.nj * self.ni,
+            Strategy3D::HorizontalMajor => self.nz * self.rect.nj,
+            Strategy3D::Transpose => self.rect.nj * self.rect.ni,
         }
     }
 }
 
 impl Functor1D for StripCopy {
     fn operator(&self, r: usize) {
+        let Rect { i0, nj, ni, .. } = self.rect;
         match self.order {
             Strategy3D::HorizontalMajor => {
-                // Run r is field row (k = r / nj, j = j0 + r % nj): `ni`
+                // Run r is field row (k = r / nj, strip row r % nj): `ni`
                 // consecutive elements on both sides.
-                let k = r / self.nj;
-                let jj = r % self.nj;
-                let foff = k * self.plane + (self.j0 + jj) * self.row + self.i0;
-                let boff = r * self.ni;
+                let (k, jj) = (r / nj, r % nj);
+                let foff = k * self.plane + self.rect.row(jj) * self.row + i0;
+                let boff = r * ni;
+                // SAFETY: `copy` checked the strip against the field's
+                // extents and the buffer length against the strip, so both
+                // `ni`-runs are in bounds; runs of distinct `r` are disjoint.
                 unsafe {
-                    match self.dir {
-                        CopyDir::Pack => {
-                            let src = std::slice::from_raw_parts(
-                                self.field.add(foff) as *const f64,
-                                self.ni,
-                            );
-                            std::slice::from_raw_parts_mut(self.buf.add(boff), self.ni)
-                                .copy_from_slice(src);
-                        }
-                        CopyDir::Unpack => {
-                            let src = std::slice::from_raw_parts(
-                                self.buf.add(boff) as *const f64,
-                                self.ni,
-                            );
-                            std::slice::from_raw_parts_mut(self.field.add(foff), self.ni)
-                                .copy_from_slice(src);
-                        }
-                    }
+                    let (src, dst) = match self.dir {
+                        CopyDir::Pack => (self.field.add(foff), self.buf.add(boff)),
+                        CopyDir::Unpack => (self.buf.add(boff), self.field.add(foff)),
+                    };
+                    std::slice::from_raw_parts_mut(dst, ni)
+                        .copy_from_slice(std::slice::from_raw_parts(src as *const f64, ni));
                 }
             }
             Strategy3D::Transpose => {
-                // Run r is column (j = j0 + r / ni, i = i0 + r % ni): `nz`
+                // Run r is column (strip row r / ni, i = i0 + r % ni): `nz`
                 // consecutive elements on the buffer side, one plane apart
                 // on the field side.
-                let jj = r / self.ni;
-                let ii = r % self.ni;
-                let fbase = (self.j0 + jj) * self.row + self.i0 + ii;
+                let fbase = self.rect.row(r / ni) * self.row + i0 + r % ni;
                 let boff = r * self.nz;
+                // SAFETY: as above — in bounds by the checks in `copy`, and
+                // no other iteration touches column `r`.
                 unsafe {
-                    match self.dir {
-                        CopyDir::Pack => {
-                            for k in 0..self.nz {
-                                *self.buf.add(boff + k) = *self.field.add(fbase + k * self.plane);
-                            }
-                        }
-                        CopyDir::Unpack => {
-                            for k in 0..self.nz {
-                                *self.field.add(fbase + k * self.plane) = *self.buf.add(boff + k);
-                            }
+                    for k in 0..self.nz {
+                        let (f, b) = (
+                            self.field.add(fbase + k * self.plane),
+                            self.buf.add(boff + k),
+                        );
+                        match self.dir {
+                            CopyDir::Pack => *b = *f,
+                            CopyDir::Unpack => *f = *b,
                         }
                     }
                 }
@@ -129,7 +115,7 @@ impl Functor1D for StripCopy {
     fn cost(&self) -> IterCost {
         // Pure data movement: one read + one write per element of the run.
         let run = match self.order {
-            Strategy3D::HorizontalMajor => self.ni,
+            Strategy3D::HorizontalMajor => self.rect.ni,
             Strategy3D::Transpose => self.nz,
         };
         IterCost {
@@ -141,379 +127,92 @@ impl Functor1D for StripCopy {
 
 kokkos_rs::register_for_1d!(register_strip_copy, StripCopy);
 
-/// One 2-D halo-strip copy for [`crate::halo2d::Halo2D`]: `nruns` rows of
-/// `ni` consecutive elements each, against a row-major buffer. Run `r`
-/// maps to field row `j0 + r`, or `j0 - r` when `rev` is set (the
-/// tripolar fold packs rows in descending order). Same disjoint-run
-/// contract as [`StripCopy`].
-struct StripCopy2D {
-    field: *mut f64,
-    buf: *mut f64,
-    /// Elements per field row (`pi`).
-    row: usize,
-    j0: usize,
-    i0: usize,
-    ni: usize,
-    /// Field rows descend from `j0` (fold pack order).
-    rev: bool,
-    dir: CopyDir,
-}
-
-// SAFETY: as for `StripCopy` — live field and buffer for the synchronous
-// launch, disjoint runs per iteration.
-unsafe impl Send for StripCopy2D {}
-unsafe impl Sync for StripCopy2D {}
-
-impl Functor1D for StripCopy2D {
-    fn operator(&self, r: usize) {
-        let j = if self.rev { self.j0 - r } else { self.j0 + r };
-        let foff = j * self.row + self.i0;
-        let boff = r * self.ni;
-        unsafe {
-            match self.dir {
-                CopyDir::Pack => {
-                    let src =
-                        std::slice::from_raw_parts(self.field.add(foff) as *const f64, self.ni);
-                    std::slice::from_raw_parts_mut(self.buf.add(boff), self.ni)
-                        .copy_from_slice(src);
-                }
-                CopyDir::Unpack => {
-                    let src = std::slice::from_raw_parts(self.buf.add(boff) as *const f64, self.ni);
-                    std::slice::from_raw_parts_mut(self.field.add(foff), self.ni)
-                        .copy_from_slice(src);
-                }
-            }
-        }
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 0,
-            bytes: 16 * self.ni as u64,
-        }
-    }
-}
-
-kokkos_rs::register_for_1d!(register_strip_copy_2d, StripCopy2D);
-
-#[allow(clippy::too_many_arguments)]
-fn launch2(
-    space: &Space,
-    dir: CopyDir,
-    f: &View2<f64>,
-    j0: usize,
-    rev: bool,
-    nruns: usize,
-    i0: usize,
-    ni: usize,
-    buf: *mut f64,
-    buf_len: usize,
-) {
-    let [pj, pi] = f.dims();
-    assert_eq!(buf_len, nruns * ni, "strip buffer length mismatch");
-    if rev {
-        assert!(nruns <= j0 + 1 && j0 < pj, "strip rows out of bounds");
-    } else {
-        assert!(j0 + nruns <= pj, "strip rows out of bounds");
-    }
-    assert!(i0 + ni <= pi, "strip columns out of bounds");
-    assert!(
-        f.is_root_view() && f.layout() == kokkos_rs::Layout::Right,
-        "strip copy requires a root row-major field"
-    );
-    let func = StripCopy2D {
-        field: f.data_ptr(),
-        buf,
-        row: pi,
-        j0,
-        i0,
-        ni,
-        rev,
-        dir,
-    };
-    let tile = (nruns / 64).clamp(1, 256);
-    parallel_for_1d(space, RangePolicy::new(nruns).with_tile(tile), &func);
-}
-
-/// Pack `nruns` rows × `ni` columns of the 2-D field `f` into `out`
-/// (row-major), dispatched over `space`. `rev` walks field rows downward
-/// from `j0` — the fold pack order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_rect2_on(
-    space: &Space,
-    f: &View2<f64>,
-    j0: usize,
-    rev: bool,
-    nruns: usize,
-    i0: usize,
-    ni: usize,
+/// Pack `rect` (all levels) of `f` into `out` in `order`: launched over
+/// `space` when given, else run inline on the calling thread.
+pub(crate) fn pack(
+    space: Option<&Space>,
+    order: Strategy3D,
+    f: &View3<f64>,
+    rect: Rect,
     out: &mut [f64],
 ) {
-    launch2(
+    copy(
         space,
+        order,
         CopyDir::Pack,
         f,
-        j0,
-        rev,
-        nruns,
-        i0,
-        ni,
+        rect,
         out.as_mut_ptr(),
         out.len(),
     );
 }
 
-/// Unpack `buf` into `nruns` rows × `ni` columns of `f`, inverse of
-/// [`pack_rect2_on`]. `buf` is only read.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack_rect2_on(
-    space: &Space,
-    f: &View2<f64>,
-    j0: usize,
-    rev: bool,
-    nruns: usize,
-    i0: usize,
-    ni: usize,
+/// Unpack `buf` into `rect` of `f`, inverse of [`pack`].
+pub(crate) fn unpack(
+    space: Option<&Space>,
+    order: Strategy3D,
+    f: &View3<f64>,
+    rect: Rect,
     buf: &[f64],
 ) {
-    launch2(
-        space,
-        CopyDir::Unpack,
-        f,
-        j0,
-        rev,
-        nruns,
-        i0,
-        ni,
-        buf.as_ptr() as *mut f64,
-        buf.len(),
-    );
+    // The functor only reads the buffer side of an unpack.
+    let ptr = buf.as_ptr() as *mut f64;
+    copy(space, order, CopyDir::Unpack, f, rect, ptr, buf.len());
 }
 
-#[allow(clippy::too_many_arguments)]
-fn launch(
-    space: &Space,
+/// Check `rect` and the buffer against `f`, then run the copy. `buf`
+/// points to `buf_len` live elements, written only by [`CopyDir::Pack`].
+fn copy(
+    space: Option<&Space>,
     order: Strategy3D,
     dir: CopyDir,
     f: &View3<f64>,
-    j0: usize,
-    nj: usize,
-    i0: usize,
-    ni: usize,
+    rect: Rect,
     buf: *mut f64,
     buf_len: usize,
 ) {
     let [nz, pj, pi] = f.dims();
-    assert_eq!(buf_len, nz * nj * ni, "strip buffer length mismatch");
-    assert!(j0 + nj <= pj && i0 + ni <= pi, "strip out of bounds");
+    assert_eq!(
+        buf_len,
+        nz * rect.nj * rect.ni,
+        "strip buffer length mismatch"
+    );
+    let rows_in = if rect.rev {
+        rect.nj <= rect.j0 + 1 && rect.j0 < pj
+    } else {
+        rect.j0 + rect.nj <= pj
+    };
+    assert!(rows_in && rect.i0 + rect.ni <= pi, "strip out of bounds");
     assert!(
         f.is_root_view() && f.layout() == kokkos_rs::Layout::Right,
         "strip copy requires a root horizontal-major field"
     );
+    // A one-level strip has the same buffer layout in both orders; copy
+    // it as horizontal-major rows, its longest contiguous runs.
+    let order = if nz == 1 {
+        Strategy3D::HorizontalMajor
+    } else {
+        order
+    };
     let func = StripCopy {
         field: f.data_ptr(),
         buf,
         plane: pj * pi,
         row: pi,
-        j0,
-        i0,
-        nj,
-        ni,
+        rect,
         nz,
         dir,
         order,
     };
     let n = func.runs();
-    // One tile per ~1/64th of the runs keeps every backend busy even for
-    // the short-row strips (the default 256-run tile would serialize them).
-    let tile = (n / 64).clamp(1, 256);
-    parallel_for_1d(space, RangePolicy::new(n).with_tile(tile), &func);
-}
-
-/// Pack the strip `nj × ni` (rows × cols, all `nz` levels) of `f` into
-/// `out`, in `order`, dispatched over `space`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_strip_on(
-    space: &Space,
-    order: Strategy3D,
-    f: &View3<f64>,
-    j0: usize,
-    nj: usize,
-    i0: usize,
-    ni: usize,
-    out: &mut [f64],
-) {
-    launch(
-        space,
-        order,
-        CopyDir::Pack,
-        f,
-        j0,
-        nj,
-        i0,
-        ni,
-        out.as_mut_ptr(),
-        out.len(),
-    );
-}
-
-/// Unpack `buf` into the strip `nj × ni` of `f`, inverse of
-/// [`pack_strip_on`]. `buf` is only read (the pointer cast is an artifact
-/// of the shared functor).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack_strip_on(
-    space: &Space,
-    order: Strategy3D,
-    f: &View3<f64>,
-    j0: usize,
-    nj: usize,
-    i0: usize,
-    ni: usize,
-    buf: &[f64],
-) {
-    launch(
-        space,
-        order,
-        CopyDir::Unpack,
-        f,
-        j0,
-        nj,
-        i0,
-        ni,
-        buf.as_ptr() as *mut f64,
-        buf.len(),
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kokkos_rs::View;
-
-    fn field(nz: usize, pj: usize, pi: usize) -> View3<f64> {
-        View::from_fn("f", [nz, pj, pi], |[k, j, i]| {
-            (k * 1_000_000 + j * 1000 + i) as f64 + 0.5
-        })
-    }
-
-    /// Reference element-wise pack, mirroring the original implementation.
-    fn pack_ref(
-        f: &View3<f64>,
-        order: Strategy3D,
-        j0: usize,
-        nj: usize,
-        i0: usize,
-        ni: usize,
-    ) -> Vec<f64> {
-        let nz = f.extent(0);
-        let mut buf = Vec::new();
-        match order {
-            Strategy3D::HorizontalMajor => {
-                for k in 0..nz {
-                    for j in j0..j0 + nj {
-                        for i in i0..i0 + ni {
-                            buf.push(f.at(k, j, i));
-                        }
-                    }
-                }
-            }
-            Strategy3D::Transpose => {
-                for j in j0..j0 + nj {
-                    for i in i0..i0 + ni {
-                        for k in 0..nz {
-                            buf.push(f.at(k, j, i));
-                        }
-                    }
-                }
-            }
+    match space {
+        Some(space) => {
+            // One tile per ~1/64th of the runs keeps every backend busy
+            // even for the short-row strips (the default 256-run tile
+            // would serialize them).
+            let tile = (n / 64).clamp(1, 256);
+            parallel_for_1d(space, RangePolicy::new(n).with_tile(tile), &func);
         }
-        buf
-    }
-
-    #[test]
-    fn pack_matches_reference_on_all_host_spaces() {
-        for order in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
-            for space in [Space::serial(), Space::threads()] {
-                let f = field(5, 11, 13);
-                let (j0, nj, i0, ni) = (2, 7, 3, 2);
-                let want = pack_ref(&f, order, j0, nj, i0, ni);
-                let mut got = vec![0.0; want.len()];
-                pack_strip_on(&space, order, &f, j0, nj, i0, ni, &mut got);
-                assert_eq!(got, want, "{order:?} on {}", space.name());
-            }
-        }
-    }
-
-    #[test]
-    fn unpack_inverts_pack() {
-        for order in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
-            let src = field(4, 9, 10);
-            let (j0, nj, i0, ni) = (1, 3, 2, 5);
-            let mut buf = vec![0.0; 4 * nj * ni];
-            pack_strip_on(&Space::threads(), order, &src, j0, nj, i0, ni, &mut buf);
-            let dst: View3<f64> = View::host("dst", [4, 9, 10]);
-            dst.fill(-1.0);
-            unpack_strip_on(&Space::serial(), order, &dst, j0, nj, i0, ni, &buf);
-            for k in 0..4 {
-                for j in 0..9 {
-                    for i in 0..10 {
-                        let inside = (j0..j0 + nj).contains(&j) && (i0..i0 + ni).contains(&i);
-                        let want = if inside { src.at(k, j, i) } else { -1.0 };
-                        assert_eq!(dst.at(k, j, i), want, "{order:?} k={k} j={j} i={i}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rect2_pack_unpack_on_all_spaces() {
-        let f2: View2<f64> = View::from_fn("f2", [9, 12], |[j, i]| (j * 100 + i) as f64 + 0.25);
-        // Reference: ascending and descending row-major packs.
-        let pack2_ref = |j0: usize, rev: bool, nruns: usize, i0: usize, ni: usize| {
-            let mut buf = Vec::new();
-            for r in 0..nruns {
-                let j = if rev { j0 - r } else { j0 + r };
-                for i in i0..i0 + ni {
-                    buf.push(f2.at(j, i));
-                }
-            }
-            buf
-        };
-        register_strip_copy_2d();
-        let spaces = [
-            Space::serial(),
-            Space::threads(),
-            Space::sw_athread_with(sunway_sim::CgConfig::test_small()),
-        ];
-        for space in &spaces {
-            for (j0, rev, nruns, i0, ni) in [(2, false, 5, 3, 2), (8, true, 2, 0, 12)] {
-                let want = pack2_ref(j0, rev, nruns, i0, ni);
-                let mut got = vec![0.0; want.len()];
-                pack_rect2_on(space, &f2, j0, rev, nruns, i0, ni, &mut got);
-                assert_eq!(got, want, "pack rev={rev} on {}", space.name());
-
-                let dst: View2<f64> = View::host("dst2", [9, 12]);
-                dst.fill(-1.0);
-                unpack_rect2_on(space, &dst, j0, rev, nruns, i0, ni, &want);
-                for r in 0..nruns {
-                    let j = if rev { j0 - r } else { j0 + r };
-                    for i in i0..i0 + ni {
-                        assert_eq!(dst.at(j, i), f2.at(j, i), "unpack j={j} i={i}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn runs_on_simulated_sunway_cpes() {
-        register_strip_copy();
-        let space = Space::sw_athread_with(sunway_sim::CgConfig::test_small());
-        let f = field(3, 8, 8);
-        let want = pack_ref(&f, Strategy3D::Transpose, 2, 4, 2, 4);
-        let mut got = vec![0.0; want.len()];
-        pack_strip_on(&space, Strategy3D::Transpose, &f, 2, 4, 2, 4, &mut got);
-        assert_eq!(got, want);
+        None => (0..n).for_each(|r| func.operator(r)),
     }
 }

@@ -2,16 +2,16 @@
 //! variants.
 //!
 //! The `halo_wait_ns` counter accrues at the recv chokepoint, so it sees
-//! the overlap path (`try_exchange_overlap`) even though that variant
-//! deliberately carries no whole-call profiling region. With a slow
+//! the split-phase path (`begin` → compute → `finish`) even though that
+//! path deliberately carries no whole-call profiling region. With a slow
 //! neighbor, the blocking exchange eats the neighbor's delay inside its
 //! receives while the overlap exchange hides it under interior compute —
 //! so overlap wait must come out at or below blocking wait.
 
 use std::time::Duration;
 
-use halo_exchange::{FoldKind, Halo2D, HALO as H};
-use kokkos_rs::{View, View2};
+use halo_exchange::{FoldKind, Halo, HALO as H};
+use kokkos_rs::{View, View2, View3};
 use mpi_sim::{CartComm, World};
 
 const NXG: usize = 8;
@@ -19,7 +19,7 @@ const NYG: usize = 6;
 /// Delay injected on rank 1 before it participates in each exchange.
 const LAG: Duration = Duration::from_millis(40);
 
-fn make_field(h: &Halo2D) -> View2<f64> {
+fn make_field(h: &Halo) -> View2<f64> {
     let (pj, pi) = h.padded();
     let f: View2<f64> = View::host("f", [pj, pi]);
     for j in 0..h.ny {
@@ -34,8 +34,8 @@ fn make_field(h: &Halo2D) -> View2<f64> {
 fn overlap_wait_le_blocking_wait() {
     World::run(2, |comm| {
         let cart = CartComm::new(comm.clone(), 2, 1, true);
-        let h = Halo2D::new(&cart, NXG, NYG);
-        let f = make_field(&h);
+        let h = Halo::new(&cart, NXG, NYG);
+        let f = make_field(&h).lift();
         let lagger = comm.rank() == 1;
 
         // Blocking: rank 1 shows up late, so rank 0's receives wait out
@@ -55,11 +55,11 @@ fn overlap_wait_le_blocking_wait() {
             std::thread::sleep(LAG);
         }
         let w1 = h.halo_wait_ns();
-        h.exchange_overlap(&f, FoldKind::Scalar, 200, || {
-            if !lagger {
-                std::thread::sleep(LAG + Duration::from_millis(10));
-            }
-        });
+        let p = h.begin(&[(&f, FoldKind::Scalar)], 200).unwrap();
+        if !lagger {
+            std::thread::sleep(LAG + Duration::from_millis(10));
+        }
+        p.finish().unwrap();
         let overlap_wait = h.halo_wait_ns() - w1;
 
         if !lagger {
@@ -76,17 +76,20 @@ fn overlap_wait_le_blocking_wait() {
 }
 
 #[test]
-fn wait_counter_shared_across_clones() {
+fn one_wait_counter_sees_2d_and_3d_traffic() {
     World::run(2, |comm| {
         let cart = CartComm::new(comm.clone(), 2, 1, true);
-        let h = Halo2D::new(&cart, NXG, NYG);
-        let h_clone = h.clone();
-        let f = make_field(&h);
-        h.exchange(&f, FoldKind::Scalar, 300);
-        h_clone.exchange(&f, FoldKind::Scalar, 400);
-        // Both exchanges land in one shared counter, visible from either
-        // handle (Halo3D wraps a clone of the model's 2-D context).
-        assert_eq!(h.halo_wait_ns(), h_clone.halo_wait_ns());
-        assert!(h.halo_wait_ns() > 0, "networked recvs must accrue wait");
+        let h = Halo::new(&cart, NXG, NYG);
+        let f2 = make_field(&h);
+        let f3: View3<f64> = View::host("f3", h.shape(3));
+        h.exchange(&f2.lift(), FoldKind::Scalar, 300);
+        let after_2d = h.halo_wait_ns();
+        h.exchange(&f3, FoldKind::Scalar, 400);
+        // Both field ranks land in the one engine's counter.
+        assert!(after_2d > 0, "networked recvs must accrue wait");
+        assert!(
+            h.halo_wait_ns() > after_2d,
+            "3-D recvs accrue on the same counter"
+        );
     });
 }

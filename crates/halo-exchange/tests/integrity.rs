@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use halo_exchange::{FoldKind, FrameFault, Halo2D, Halo3D, HaloError, IntegrityConfig, Strategy3D};
+use halo_exchange::{FoldKind, FrameFault, Halo, HaloError, IntegrityConfig, Strategy3D};
 use kokkos_rs::{View, View2, View3};
 use mpi_sim::{CartComm, FaultKind, FaultPlan, FaultRule, MatchSpec, World};
 
@@ -16,7 +16,7 @@ fn g2(j: usize, i: usize) -> f64 {
     (j * 1000 + i) as f64 + 0.25
 }
 
-fn fill_owned_2d(h: &Halo2D, f: &View2<f64>) {
+fn fill_owned_2d(h: &Halo, f: &View2<f64>) {
     for j in 0..h.ny {
         for i in 0..h.nx {
             f.set_at(H + j, H + i, g2(h.y0 + j, h.x0 + i));
@@ -28,11 +28,11 @@ fn g3(k: usize, j: usize, i: usize) -> f64 {
     (k * 1_000_000 + j * 1000 + i) as f64 + 0.125
 }
 
-fn fill_owned_3d(h: &Halo3D, f: &View3<f64>) {
-    for k in 0..h.nz {
-        for j in 0..h.h2.ny {
-            for i in 0..h.h2.nx {
-                f.set_at(k, H + j, H + i, g3(k, h.h2.y0 + j, h.h2.x0 + i));
+fn fill_owned_3d(h: &Halo, f: &View3<f64>) {
+    for k in 0..f.extent(0) {
+        for j in 0..h.ny {
+            for i in 0..h.nx {
+                f.set_at(k, H + j, H + i, g3(k, h.y0 + j, h.x0 + i));
             }
         }
     }
@@ -42,12 +42,12 @@ fn fill_owned_3d(h: &Halo3D, f: &View3<f64>) {
 fn run_2d(plan: Option<FaultPlan>) -> Vec<Vec<f64>> {
     let body = |comm: &mpi_sim::Comm| {
         let cart = CartComm::new(comm.clone(), 2, 2, true);
-        let h = Halo2D::new(&cart, 12, 10).with_integrity(IntegrityConfig::default());
+        let h = Halo::new(&cart, 12, 10).with_integrity(IntegrityConfig::default());
         h.begin_step(1);
         let f: View2<f64> = View::host("f", [h.padded().0, h.padded().1]);
         f.fill(0.0);
         fill_owned_2d(&h, &f);
-        h.try_exchange(&f, FoldKind::Scalar, 0).unwrap();
+        h.try_exchange(&[(&f.lift(), FoldKind::Scalar)], 0).unwrap();
         f.to_vec()
     };
     match plan {
@@ -67,12 +67,12 @@ fn bitflipped_2d_strip_recovers_bitwise() {
         let plan2 = plan.clone();
         let body = |comm: &mpi_sim::Comm| {
             let cart = CartComm::new(comm.clone(), 2, 2, true);
-            let h = Halo2D::new(&cart, 12, 10).with_integrity(IntegrityConfig::default());
+            let h = Halo::new(&cart, 12, 10).with_integrity(IntegrityConfig::default());
             h.begin_step(1);
             let f: View2<f64> = View::host("f", [h.padded().0, h.padded().1]);
             f.fill(0.0);
             fill_owned_2d(&h, &f);
-            h.try_exchange(&f, FoldKind::Scalar, 0).unwrap();
+            h.try_exchange(&[(&f.lift(), FoldKind::Scalar)], 0).unwrap();
         };
         World::run_faulted(4, plan2, body)
     };
@@ -97,16 +97,17 @@ fn truncated_3d_batched_strip_recovers_bitwise() {
     let run = |plan: Option<FaultPlan>| {
         let body = |comm: &mpi_sim::Comm| {
             let cart = CartComm::new(comm.clone(), 2, 2, true);
-            let h = Halo3D::new(Halo2D::new(&cart, 12, 10), 3, Strategy3D::Transpose)
+            let h = Halo::new(&cart, 12, 10)
+                .with_strategy(Strategy3D::Transpose)
                 .with_integrity(IntegrityConfig::default());
             h.begin_step(7);
-            let u: View3<f64> = View::host("u", h.shape());
-            let v: View3<f64> = View::host("v", h.shape());
+            let u: View3<f64> = View::host("u", h.shape(3));
+            let v: View3<f64> = View::host("v", h.shape(3));
             u.fill(0.0);
             v.fill(0.0);
             fill_owned_3d(&h, &u);
             fill_owned_3d(&h, &v);
-            h.try_exchange_many(&[(&u, FoldKind::Vector), (&v, FoldKind::Scalar)], 0)
+            h.try_exchange(&[(&u, FoldKind::Vector), (&v, FoldKind::Scalar)], 0)
                 .unwrap();
             (u.to_vec(), v.to_vec())
         };
@@ -142,12 +143,12 @@ fn unrecoverable_drop_surfaces_typed_error_on_every_rank() {
     };
     let (results, t) = World::run_faulted(4, plan, |comm| {
         let cart = CartComm::new(comm.clone(), 2, 2, true);
-        let h = Halo2D::new(&cart, 12, 10).with_integrity(cfg);
+        let h = Halo::new(&cart, 12, 10).with_integrity(cfg);
         h.begin_step(1);
         let f: View2<f64> = View::host("f", [h.padded().0, h.padded().1]);
         f.fill(0.0);
         fill_owned_2d(&h, &f);
-        h.try_exchange(&f, FoldKind::Scalar, 0)
+        h.try_exchange(&[(&f.lift(), FoldKind::Scalar)], 0)
     });
     assert!(t.faults_dropped >= 4, "drops: {}", t.faults_dropped);
     for (rank, r) in results.iter().enumerate() {
@@ -169,11 +170,11 @@ fn integrity_framing_is_transparent_when_no_faults_fire() {
     let unframed = {
         let body = |comm: &mpi_sim::Comm| {
             let cart = CartComm::new(comm.clone(), 2, 2, true);
-            let h = Halo2D::new(&cart, 12, 10);
+            let h = Halo::new(&cart, 12, 10);
             let f: View2<f64> = View::host("f", [h.padded().0, h.padded().1]);
             f.fill(0.0);
             fill_owned_2d(&h, &f);
-            h.exchange(&f, FoldKind::Scalar, 0);
+            h.exchange(&f.lift(), FoldKind::Scalar, 0);
             f.to_vec()
         };
         World::run_traced(4, body).0

@@ -1,6 +1,6 @@
 //! Property-based halo-exchange correctness over random geometries.
 
-use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
+use halo_exchange::{FoldKind, Halo, Strategy3D, HALO as H};
 use kokkos_rs::{View, View2, View3};
 use mpi_sim::{CartComm, World};
 use proptest::prelude::*;
@@ -10,7 +10,7 @@ fn g2(j: usize, i: usize) -> f64 {
 }
 
 /// Expected padded-cell value after a scalar exchange (None = unspecified).
-fn expected2(h: &Halo2D, jl: usize, il: usize) -> Option<f64> {
+fn expected2(h: &Halo, jl: usize, il: usize) -> Option<f64> {
     let (nxg, nyg) = (h.nxg as i64, h.nyg as i64);
     let jg = h.y0 as i64 + jl as i64 - H as i64;
     let ig = h.x0 as i64 + il as i64 - H as i64;
@@ -43,7 +43,7 @@ proptest! {
         let nyg = py * by;
         World::run(px * py, move |comm| {
             let cart = CartComm::new(comm.clone(), px, py, true);
-            let h = Halo2D::new(&cart, nxg, nyg);
+            let h = Halo::new(&cart, nxg, nyg);
             let (pj, pi) = h.padded();
             let f: View2<f64> = View::host("f", [pj, pi]);
             f.fill(f64::NAN);
@@ -52,7 +52,7 @@ proptest! {
                     f.set_at(H + j, H + i, g2(h.y0 + j, h.x0 + i));
                 }
             }
-            h.exchange(&f, FoldKind::Scalar, 0);
+            h.exchange(&f.lift(), FoldKind::Scalar, 0);
             for jl in 0..pj {
                 for il in 0..pi {
                     if let Some(want) = expected2(&h, jl, il) {
@@ -71,13 +71,13 @@ proptest! {
         let run = move |strategy| {
             World::run(px * 2, move |comm| {
                 let cart = CartComm::new(comm.clone(), px, 2, true);
-                let h = Halo3D::new(Halo2D::new(&cart, nxg, nyg), nz, strategy);
-                let f: View3<f64> = View::host("f", h.shape());
+                let h = Halo::new(&cart, nxg, nyg).with_strategy(strategy);
+                let f: View3<f64> = View::host("f", h.shape(nz));
                 f.fill(0.0);
                 for k in 0..nz {
-                    for j in 0..h.h2.ny {
-                        for i in 0..h.h2.nx {
-                            f.set_at(k, H + j, H + i, (k * 7) as f64 + g2(h.h2.y0 + j, h.h2.x0 + i));
+                    for j in 0..h.ny {
+                        for i in 0..h.nx {
+                            f.set_at(k, H + j, H + i, (k * 7) as f64 + g2(h.y0 + j, h.x0 + i));
                         }
                     }
                 }
@@ -105,16 +105,17 @@ proptest! {
         let fold = if vector == 1 { FoldKind::Vector } else { FoldKind::Scalar };
         World::run(px * 2, move |comm| {
             let cart = CartComm::new(comm.clone(), px, 2, true);
-            let h = Halo3D::new(Halo2D::new(&cart, nxg, nyg), nz, strategy)
+            let h = Halo::new(&cart, nxg, nyg)
+                .with_strategy(strategy)
                 .with_space(kokkos_rs::Space::threads());
             let mk = |name: &'static str, salt: usize| {
-                let f: View3<f64> = View::host(name, h.shape());
+                let f: View3<f64> = View::host(name, h.shape(nz));
                 f.fill(0.0);
                 for k in 0..nz {
-                    for j in 0..h.h2.ny {
-                        for i in 0..h.h2.nx {
+                    for j in 0..h.ny {
+                        for i in 0..h.nx {
                             let v = (k * 7 + salt * 13) as f64
-                                + g2(h.h2.y0 + j, h.h2.x0 + i);
+                                + g2(h.y0 + j, h.x0 + i);
                             f.set_at(k, H + j, H + i, v);
                         }
                     }
@@ -125,17 +126,17 @@ proptest! {
             let a = mk("a", 0);
             let b = mk("b", 0);
             h.exchange(&a, fold, 0);
-            h.exchange_alloc(&b, fold, 0);
+            h.exchange_alloc(&[(&b, fold)], 0);
             assert_eq!(a.to_vec(), b.to_vec(), "exchange vs exchange_alloc");
             // Batched: pooled vs allocating, mixed fold kinds.
             let p0 = mk("p0", 1);
             let p1 = mk("p1", 2);
             let q0 = mk("q0", 1);
             let q1 = mk("q1", 2);
-            h.exchange_many(&[(&p0, fold), (&p1, FoldKind::Scalar)], 20);
-            h.exchange_many_alloc(&[(&q0, fold), (&q1, FoldKind::Scalar)], 20);
-            assert_eq!(p0.to_vec(), q0.to_vec(), "exchange_many field 0");
-            assert_eq!(p1.to_vec(), q1.to_vec(), "exchange_many field 1");
+            h.try_exchange(&[(&p0, fold), (&p1, FoldKind::Scalar)], 20).unwrap();
+            h.exchange_alloc(&[(&q0, fold), (&q1, FoldKind::Scalar)], 20);
+            assert_eq!(p0.to_vec(), q0.to_vec(), "batched field 0");
+            assert_eq!(p1.to_vec(), q1.to_vec(), "batched field 1");
         });
     }
 
@@ -145,7 +146,7 @@ proptest! {
         let (nxg, nyg) = (bx * 2, by);
         World::run(2, move |comm| {
             let cart = CartComm::new(comm.clone(), 2, 1, true);
-            let h = Halo2D::new(&cart, nxg, nyg);
+            let h = Halo::new(&cart, nxg, nyg);
             let (pj, pi) = h.padded();
             let f: View2<f64> = View::host("f", [pj, pi]);
             for j in 0..h.ny {
@@ -155,9 +156,9 @@ proptest! {
                     f.set_at(H + j, H + i, v);
                 }
             }
-            h.exchange(&f, FoldKind::Scalar, 0);
+            h.exchange(&f.lift(), FoldKind::Scalar, 0);
             let once = f.to_vec();
-            h.exchange(&f, FoldKind::Scalar, 7);
+            h.exchange(&f.lift(), FoldKind::Scalar, 7);
             assert_eq!(f.to_vec(), once);
         });
     }

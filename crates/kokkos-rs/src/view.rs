@@ -506,6 +506,29 @@ impl<T: Copy + Send + Sync> View<T, 3> {
     }
 }
 
+impl<T: Copy + Send + Sync> View<T, 2> {
+    /// This view as a one-level rank-3 view `[1, d0, d1]` — the inverse of
+    /// [`View::level`]. Shares storage and label with `self`; a root view
+    /// lifts to a root view with the canonical strides of its layout.
+    pub fn lift(&self) -> View<T, 3> {
+        let [d0, d1] = self.dims;
+        let [s0, s1] = self.strides;
+        let s_level = match self.layout {
+            Layout::Right => s0 * d0,
+            Layout::Left => 1,
+        };
+        View {
+            buf: Arc::clone(&self.buf),
+            dims: [1, d0, d1],
+            strides: [s_level, s0, s1],
+            layout: self.layout,
+            space: self.space,
+            label: Arc::clone(&self.label),
+            base_offset: self.base_offset,
+        }
+    }
+}
+
 impl<T: Clone + Default + Send + Sync, const R: usize> View<T, R> {
     /// Allocate and initialise from a function of the logical index.
     pub fn from_fn(label: &str, dims: [usize; R], f: impl Fn([usize; R]) -> T) -> Self
@@ -556,6 +579,23 @@ mod subview_tests {
         v.set_at(2, 1, 4, 9.5);
         let s = v.level(2);
         assert_eq!(s.at(1, 4), 9.5);
+    }
+
+    #[test]
+    fn lift_inverts_level_and_shares_storage() {
+        for layout in [Layout::Right, Layout::Left] {
+            let v: View2<f64> = View::new("v", [4, 5], layout, MemSpace::Host);
+            v.set_at(2, 3, 1.5);
+            let l = v.lift();
+            assert_eq!(l.dims(), [1, 4, 5]);
+            assert_eq!(l.label(), "v");
+            assert!(l.is_root_view());
+            assert_eq!(l.at(0, 2, 3), 1.5);
+            l.set_at(0, 3, 4, -2.0);
+            assert_eq!(v.at(3, 4), -2.0, "writes through the lift are live");
+            assert_eq!(l.to_vec(), v.to_vec(), "same storage order");
+            assert_eq!(l.level(0).to_vec(), v.to_vec());
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use kokkos_rs::{
     IterCost, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View1, View2, View3,
 };
 
-use halo_exchange::{FoldKind, Halo3D, HaloError, StepGraph, HALO as H};
+use halo_exchange::{FoldKind, Halo, HaloError, StepGraph, HALO as H};
 
 use crate::localgrid::LocalGrid;
 
@@ -43,7 +43,7 @@ pub enum TmpExchange<'a> {
     /// rim rows. Bitwise identical to [`TmpExchange::Blocking`]: the rim
     /// and interior partitions are disjoint and each flux cell's inputs
     /// are the same in either schedule.
-    Overlap { halo: &'a Halo3D, tag_base: u64 },
+    Overlap { halo: &'a Halo, tag_base: u64 },
 }
 
 /// Van Leer limiter φ(r); φ(r)·dq is evaluated safely for tiny dq.
@@ -558,7 +558,7 @@ pub fn advect_tracer(
         }
         TmpExchange::Overlap { halo, tag_base } if ny >= 5 => {
             let _r = kokkos_rs::profiling::region("adv:ypass-overlap");
-            let mut pend = Some(halo.begin_exchange(tmp, FoldKind::Scalar, tag_base)?);
+            let mut pend = Some(halo.begin(&[(tmp, FoldKind::Scalar)], tag_base)?);
             let mut graph = StepGraph::new();
             let comm = graph.comm(
                 |blocking| {
@@ -600,8 +600,7 @@ pub fn advect_tracer(
         }
         TmpExchange::Overlap { halo, tag_base } => {
             // Too narrow to carve an interior: finish, then dense pass.
-            halo.begin_exchange(tmp, FoldKind::Scalar, tag_base)?
-                .finish()?;
+            halo.begin(&[(tmp, FoldKind::Scalar)], tag_base)?.finish()?;
             let _r = kokkos_rs::profiling::region("adv:ypass");
             parallel_for_3d(space, MDRangePolicy3::new([nz, ny + 1, nx]), &fy);
         }

@@ -20,7 +20,7 @@ use kokkos_rs::{
 };
 use ocean_grid::GRAVITY;
 
-use halo_exchange::{FoldKind, Halo2D, HaloError, PendingExchange2, HALO as H};
+use halo_exchange::{FoldKind, Halo, HaloError, Pending, HALO as H};
 
 use crate::constants::ASSELIN;
 use crate::localgrid::LocalGrid;
@@ -448,7 +448,7 @@ pub fn integrate(
     space: &Space,
     g: &LocalGrid,
     state: &mut State,
-    halo: &Halo2D,
+    halo: &Halo,
     gu: &View2<f64>,
     gv: &View2<f64>,
     dtb: f64,
@@ -500,7 +500,7 @@ pub fn integrate(
     // Pipeline state (overlap mode): the previous substep's `[n]`-level
     // exchange still in flight, and the accumulator ghost rectangles owed
     // the previous `[n]` values.
-    let mut pend: Option<PendingExchange2<'_>> = None;
+    let mut pend: Option<Pending<'_>> = None;
     let mut debt: Option<[View2<f64>; 3]> = None;
 
     for step in 0..substeps {
@@ -595,18 +595,23 @@ pub fn integrate(
         // (the bare `[n]` update, or the final filter pass's) into `pend`,
         // and accumulates owned cells now / ghost rectangles at `finish`.
         if overlap {
+            let (eta, u, v) = (
+                state.bt_eta[n].lift(),
+                state.bt_u[n].lift(),
+                state.bt_v[n].lift(),
+            );
             let batch = [
-                (&state.bt_eta[n], FoldKind::Scalar),
-                (&state.bt_u[n], FoldKind::Vector),
-                (&state.bt_v[n], FoldKind::Vector),
+                (&eta, FoldKind::Scalar),
+                (&u, FoldKind::Vector),
+                (&v, FoldKind::Vector),
             ];
             if filter_passes == 0 {
                 let _r = kokkos_rs::profiling::region("bt:halo");
-                pend = Some(halo.begin_exchange_many(&batch, 500)?);
+                pend = Some(halo.begin(&batch, 500)?);
             } else {
                 {
                     let _r = kokkos_rs::profiling::region("bt:halo");
-                    halo.try_exchange_many(&batch, 500)?;
+                    halo.try_exchange(&batch, 500)?;
                 }
                 let filter_region = kokkos_rs::profiling::region("bt:filter");
                 for pass in 0..filter_passes {
@@ -630,9 +635,9 @@ pub fn integrate(
                         );
                     }
                     if pass + 1 == filter_passes {
-                        pend = Some(halo.begin_exchange_many(&batch, 530)?);
+                        pend = Some(halo.begin(&batch, 530)?);
                     } else {
-                        halo.try_exchange_many(&batch, 530)?;
+                        halo.try_exchange(&batch, 530)?;
                     }
                 }
                 drop(filter_region);
@@ -654,9 +659,9 @@ pub fn integrate(
         } else {
             {
                 let _r = kokkos_rs::profiling::region("bt:halo");
-                halo.try_exchange(&state.bt_eta[n], FoldKind::Scalar, 500)?;
-                halo.try_exchange(&state.bt_u[n], FoldKind::Vector, 510)?;
-                halo.try_exchange(&state.bt_v[n], FoldKind::Vector, 520)?;
+                halo.try_exchange(&[(&state.bt_eta[n].lift(), FoldKind::Scalar)], 500)?;
+                halo.try_exchange(&[(&state.bt_u[n].lift(), FoldKind::Vector)], 510)?;
+                halo.try_exchange(&[(&state.bt_v[n].lift(), FoldKind::Vector)], 520)?;
             }
             // Polar filter on the new level.
             let filter_region = kokkos_rs::profiling::region("bt:filter");
@@ -683,7 +688,7 @@ pub fn integrate(
                             dst: field.clone(),
                         },
                     );
-                    halo.try_exchange(field, kind, base)?;
+                    halo.try_exchange(&[(&field.lift(), kind)], base)?;
                 }
             }
             drop(filter_region);

@@ -442,7 +442,7 @@ pub fn gyre_strength_sv(g: &LocalGrid, v: &View3<f64>) -> f64 {
 #[cfg(test)]
 mod moc_tests {
     use super::*;
-    use halo_exchange::Halo2D;
+    use halo_exchange::Halo;
     use kokkos_rs::View;
     use mpi_sim::{CartComm, World};
     use ocean_grid::{Bathymetry, GlobalGrid};
@@ -451,7 +451,7 @@ mod moc_tests {
         let global = GlobalGrid::build(nx, ny, nz, &Bathymetry::Flat(4000.0), false);
         World::run(1, move |comm| {
             let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, nx, ny);
+            let halo = Halo::new(&cart, nx, ny);
             LocalGrid::build(&global, &halo)
         })
         .pop()

@@ -205,7 +205,7 @@ pub fn register() {
 mod tests {
     use super::*;
     use crate::localgrid::LocalGrid;
-    use halo_exchange::Halo2D;
+    use halo_exchange::Halo;
     use kokkos_rs::ListPolicy;
     use mpi_sim::{CartComm, World};
     use ocean_grid::{Bathymetry, GlobalGrid};
@@ -214,7 +214,7 @@ mod tests {
         let global = GlobalGrid::build(16, 10, 5, &Bathymetry::Flat(4000.0), false);
         World::run(1, |comm| {
             let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 16, 10);
+            let halo = Halo::new(&cart, 16, 10);
             let g = LocalGrid::build(&global, &halo);
             let mut s = State::new(&g);
             s.init_stratified(&g);
@@ -296,7 +296,7 @@ mod tests {
         );
         let (g, s) = World::run(1, |comm| {
             let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 16, 10);
+            let halo = Halo::new(&cart, 16, 10);
             let g = LocalGrid::build(&global, &halo);
             let mut s = State::new(&g);
             s.init_stratified(&g);

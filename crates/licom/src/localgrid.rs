@@ -9,7 +9,7 @@
 use kokkos_rs::{View, View1, View2};
 use ocean_grid::{ActiveSet, ActiveSet3, GlobalGrid};
 
-use halo_exchange::{Halo2D, HALO as H};
+use halo_exchange::{Halo, HALO as H};
 
 /// Packed wet-point index sets, built once per rank from `kmt`/`kmu` and
 /// shared (via `Arc`) with every `ListPolicy` launch. The split between
@@ -86,7 +86,7 @@ pub struct LocalGrid {
 
 impl LocalGrid {
     /// Extract this rank's padded block from the global grid.
-    pub fn build(global: &GlobalGrid, halo: &Halo2D) -> Self {
+    pub fn build(global: &GlobalGrid, halo: &Halo) -> Self {
         let (nx, ny, nz) = (halo.nx, halo.ny, global.nz());
         let (pj, pi) = halo.padded();
         let (nxg, nyg) = (global.nx(), global.ny());
@@ -233,7 +233,7 @@ mod tests {
         let global = GlobalGrid::build(24, 12, 6, &Bathymetry::earth_like(), false);
         World::run(4, |comm| {
             let cart = CartComm::new(comm.clone(), 2, 2, true);
-            let halo = Halo2D::new(&cart, 24, 12);
+            let halo = Halo::new(&cart, 24, 12);
             let lg = LocalGrid::build(&global, &halo);
             // Interior cells agree with the global grid.
             for j in 0..lg.ny {
@@ -258,7 +258,7 @@ mod tests {
         let global = GlobalGrid::build(16, 8, 5, &Bathymetry::earth_like(), false);
         World::run(1, |comm| {
             let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 16, 8);
+            let halo = Halo::new(&cart, 16, 8);
             let lg = LocalGrid::build(&global, &halo);
             // Ghost row above the fold equals the mirrored top row.
             for il in H..H + 16 {
@@ -274,7 +274,7 @@ mod tests {
         let global = GlobalGrid::build(16, 8, 5, &Bathymetry::Flat(4000.0), false);
         World::run(2, |comm| {
             let cart = CartComm::new(comm.clone(), 2, 1, true);
-            let halo = Halo2D::new(&cart, 16, 8);
+            let halo = Halo::new(&cart, 16, 8);
             let lg = LocalGrid::build(&global, &halo);
             assert_eq!(lg.wet_count(), lg.nx * lg.ny);
         });
@@ -285,7 +285,7 @@ mod tests {
         let global = GlobalGrid::build(24, 12, 6, &Bathymetry::earth_like(), false);
         World::run(1, |comm| {
             let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 24, 12);
+            let halo = Halo::new(&cart, 24, 12);
             let lg = LocalGrid::build(&global, &halo);
             // Owned wet tracer columns match the canuto list exactly.
             let legacy: Vec<u32> = lg.wet_columns.to_vec().iter().map(|&p| p as u32).collect();
@@ -320,7 +320,7 @@ mod tests {
         let global = GlobalGrid::build(24, 12, 6, &Bathymetry::earth_like(), false);
         World::run(4, |comm| {
             let cart = CartComm::new(comm.clone(), 2, 2, true);
-            let halo = Halo2D::new(&cart, 24, 12);
+            let halo = Halo::new(&cart, 24, 12);
             let lg = LocalGrid::build(&global, &halo);
             for (dense, int, rim) in [
                 (
@@ -354,7 +354,7 @@ mod tests {
         let global = GlobalGrid::build(24, 12, 4, &Bathymetry::Flat(4000.0), false);
         World::run(1, |comm| {
             let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 24, 12);
+            let halo = Halo::new(&cart, 24, 12);
             let lg = LocalGrid::build(&global, &halo);
             assert!(lg.min_dx() > 0.0);
             assert!(lg.min_dx() < lg.dxt.at(H + 6)); // polar rows are tighter

@@ -30,9 +30,7 @@ use kokkos_rs::{
 use mpi_sim::{CartComm, Comm, ReduceOp, RetryPolicy};
 use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
 
-use halo_exchange::{
-    FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Pending3, Strategy3D, HALO as H,
-};
+use halo_exchange::{FoldKind, Halo, HaloError, IntegrityConfig, Pending, Strategy3D, HALO as H};
 
 use crate::advect::{self, FunctorDiagnoseW, FunctorDiagnoseWList};
 use crate::baroclinic::{
@@ -329,8 +327,7 @@ pub struct Model {
     pub state: State,
     pub timers: Timers,
     comm: Comm,
-    halo2: Halo2D,
-    halo3: Halo3D,
+    halo: Halo,
     gu: View2<f64>,
     gv: View2<f64>,
     zero2: View2<f64>,
@@ -375,18 +372,18 @@ impl Model {
         kokkos_profiling::set_thread_rank(comm.rank() as i64);
         let (px, py) = choose_dims(comm.size(), cfg.nx);
         let cart = CartComm::new(comm.clone(), px, py, true);
-        // Both halo contexts stage strips on the model's execution space
-        // (wide strips pack on CPEs instead of round-tripping the MPE).
-        let mut halo2 = Halo2D::new(&cart, cfg.nx, cfg.ny).with_space(space.clone());
+        // One halo engine for 2-D and 3-D fields, so every exchange of a
+        // step draws from one frame-ordinal stream. It stages wide strips
+        // on the model's execution space (they pack on CPEs instead of
+        // round-tripping the MPE).
+        let mut halo = Halo::new(&cart, cfg.nx, cfg.ny)
+            .with_space(space.clone())
+            .with_strategy(opts.halo_strategy);
         if opts.integrity {
-            halo2 = halo2.with_integrity(IntegrityConfig::with_retry(opts.retry));
+            halo = halo.with_integrity(IntegrityConfig::with_retry(opts.retry));
         }
         let global = GlobalGrid::build(cfg.nx, cfg.ny, cfg.nz, &opts.bathymetry, cfg.full_depth);
-        let grid = LocalGrid::build(&global, &halo2);
-        // Pack/unpack kernels of the 3-D exchange dispatch on the model's
-        // execution space (serial rows would throttle wide strips).
-        let halo3 =
-            Halo3D::new(halo2.clone(), cfg.nz, opts.halo_strategy).with_space(space.clone());
+        let grid = LocalGrid::build(&global, &halo);
         let mut state = State::new(&grid);
         state.init_stratified(&grid);
 
@@ -437,8 +434,7 @@ impl Model {
             state,
             timers: Timers::new(),
             comm: comm.clone(),
-            halo2,
-            halo3,
+            halo,
             gu,
             gv,
             zero2,
@@ -488,16 +484,16 @@ impl Model {
 
     fn exchange_all_initial(&mut self) {
         for lev in 0..crate::state::LEVELS {
-            self.halo3
+            self.halo
                 .exchange(&self.state.u[lev], FoldKind::Vector, 700);
-            self.halo3
+            self.halo
                 .exchange(&self.state.v[lev], FoldKind::Vector, 710);
-            self.halo3
+            self.halo
                 .exchange(&self.state.t[lev], FoldKind::Scalar, 720);
-            self.halo3
+            self.halo
                 .exchange(&self.state.s[lev], FoldKind::Scalar, 730);
-            self.halo2
-                .exchange(&self.state.eta[lev], FoldKind::Scalar, 740);
+            self.halo
+                .exchange(&self.state.eta[lev].lift(), FoldKind::Scalar, 740);
         }
     }
 
@@ -511,14 +507,9 @@ impl Model {
         &self.comm
     }
 
-    /// The model's 3-D halo engine (for external tracer experiments).
-    pub fn halo3(&self) -> &Halo3D {
-        &self.halo3
-    }
-
-    /// The model's 2-D halo engine.
-    pub fn halo2(&self) -> &Halo2D {
-        &self.halo2
+    /// The model's halo engine (for external tracer experiments).
+    pub fn halo3(&self) -> &Halo {
+        &self.halo
     }
 
     /// Simulated Sunway hardware counters, when running on the
@@ -566,14 +557,11 @@ impl Model {
         // must still show what the dying rank was about to do.
         self.flight_note(mpi_sim::flight::FlightEventKind::StepBegin, epoch, 0, 0);
         self.comm.set_epoch(epoch);
-        self.halo2.begin_step(epoch);
-        self.halo3.begin_step(epoch);
+        self.halo.begin_step(epoch);
         let tr0 = self.comm.traffic();
         let step_t0 = std::time::Instant::now();
-        // halo2 and halo3 share one wait counter (halo3 wraps a clone),
-        // and likewise one in-flight (overlap) counter.
-        let hw0 = self.halo2.halo_wait_ns();
-        let hi0 = self.halo2.halo_inflight_ns();
+        let hw0 = self.halo.halo_wait_ns();
+        let hi0 = self.halo.halo_inflight_ns();
         let g = &self.grid;
         let (o, c, n) = (self.state.old(), self.state.cur(), self.state.new_lev());
         let dt = self.cfg.dt_baroclinic;
@@ -743,7 +731,7 @@ impl Model {
                 &space,
                 grid,
                 &mut self.state,
-                &self.halo2,
+                &self.halo,
                 &gu,
                 &gv,
                 dtb,
@@ -822,12 +810,12 @@ impl Model {
         // u[n]/v[n] ghosts are first read next step, as are t[n]/s[n] and
         // the Asselin-filtered u[c]/v[c]. All are drained in `halo_drain`
         // before the step commits.
-        let mut pend_uv: Option<Pending3<'_>> = None;
-        let mut pend_ts: Option<Pending3<'_>> = None;
+        let mut pend_uv: Option<Pending<'_>> = None;
+        let mut pend_ts: Option<Pending<'_>> = None;
         let uv_res = if self.opts.overlap {
             // Post the batched u/v exchange, diagnose w while it flies.
-            self.halo3
-                .begin_exchange_many(
+            self.halo
+                .begin(
                     &[
                         (&self.state.u[n], FoldKind::Vector),
                         (&self.state.v[n], FoldKind::Vector),
@@ -850,7 +838,7 @@ impl Model {
                 parallel_for_2d(&space, p2, &w_functor);
             }
             if self.opts.batched_halo {
-                self.halo3.try_exchange_many(
+                self.halo.try_exchange(
                     &[
                         (&self.state.u[n], FoldKind::Vector),
                         (&self.state.v[n], FoldKind::Vector),
@@ -858,11 +846,11 @@ impl Model {
                     800,
                 )
             } else {
-                self.halo3
-                    .try_exchange(&self.state.u[n], FoldKind::Vector, 800)
+                self.halo
+                    .try_exchange(&[(&self.state.u[n], FoldKind::Vector)], 800)
                     .and_then(|()| {
-                        self.halo3
-                            .try_exchange(&self.state.v[n], FoldKind::Vector, 810)
+                        self.halo
+                            .try_exchange(&[(&self.state.v[n], FoldKind::Vector)], 810)
                     })
             }
         };
@@ -875,7 +863,7 @@ impl Model {
         self.timers.start("advection_tracer");
         let mut adv_res = Ok(());
         let exchange_tmp_blocking =
-            |tmp: &View3<f64>| self.halo3.try_exchange(tmp, FoldKind::Scalar, 820);
+            |tmp: &View3<f64>| self.halo.try_exchange(&[(tmp, FoldKind::Scalar)], 820);
         for (cur, new) in [
             (&self.state.t[c], &self.state.t[n]),
             (&self.state.s[c], &self.state.s[n]),
@@ -895,7 +883,7 @@ impl Model {
                 if active { Some(wet_t_cols) } else { None },
                 if self.opts.overlap {
                     advect::TmpExchange::Overlap {
-                        halo: &self.halo3,
+                        halo: &self.halo,
                         tag_base: 820,
                     }
                 } else {
@@ -1003,8 +991,8 @@ impl Model {
         let ts_res = if self.opts.overlap {
             // t[n]/s[n] ghosts are first read next step — carry the
             // exchange through the Asselin section and drain at the end.
-            self.halo3
-                .begin_exchange_many(
+            self.halo
+                .begin(
                     &[
                         (&self.state.t[n], FoldKind::Scalar),
                         (&self.state.s[n], FoldKind::Scalar),
@@ -1015,7 +1003,7 @@ impl Model {
                     pend_ts = Some(p);
                 })
         } else if self.opts.batched_halo {
-            self.halo3.try_exchange_many(
+            self.halo.try_exchange(
                 &[
                     (&self.state.t[n], FoldKind::Scalar),
                     (&self.state.s[n], FoldKind::Scalar),
@@ -1023,11 +1011,11 @@ impl Model {
                 830,
             )
         } else {
-            self.halo3
-                .try_exchange(&self.state.t[n], FoldKind::Scalar, 830)
+            self.halo
+                .try_exchange(&[(&self.state.t[n], FoldKind::Scalar)], 830)
                 .and_then(|()| {
-                    self.halo3
-                        .try_exchange(&self.state.s[n], FoldKind::Scalar, 840)
+                    self.halo
+                        .try_exchange(&[(&self.state.s[n], FoldKind::Scalar)], 840)
                 })
         };
         self.timers.stop("halo_ts");
@@ -1048,10 +1036,10 @@ impl Model {
             );
         }
         // The filtered cur level needs fresh halos for the next step.
-        let mut pend_asselin: Option<Pending3<'_>> = None;
+        let mut pend_asselin: Option<Pending<'_>> = None;
         let as_res = if self.opts.overlap {
-            self.halo3
-                .begin_exchange_many(
+            self.halo
+                .begin(
                     &[
                         (&self.state.u[c], FoldKind::Vector),
                         (&self.state.v[c], FoldKind::Vector),
@@ -1062,11 +1050,11 @@ impl Model {
                     pend_asselin = Some(p);
                 })
         } else {
-            self.halo3
-                .try_exchange(&self.state.u[c], FoldKind::Vector, 850)
+            self.halo
+                .try_exchange(&[(&self.state.u[c], FoldKind::Vector)], 850)
                 .and_then(|()| {
-                    self.halo3
-                        .try_exchange(&self.state.v[c], FoldKind::Vector, 860)
+                    self.halo
+                        .try_exchange(&[(&self.state.v[c], FoldKind::Vector)], 860)
                 })
         };
         self.timers.stop("asselin");
@@ -1142,11 +1130,11 @@ impl Model {
             "pooled_bytes",
             tr1.pooled_bytes.saturating_sub(tr0.pooled_bytes),
         );
-        let halo_wait_delta = self.halo2.halo_wait_ns().saturating_sub(hw0);
+        let halo_wait_delta = self.halo.halo_wait_ns().saturating_sub(hw0);
         self.timers.add_count("halo_wait_ns", halo_wait_delta);
         self.timers.add_count(
             "halo_inflight_ns",
-            self.halo2.halo_inflight_ns().saturating_sub(hi0),
+            self.halo.halo_inflight_ns().saturating_sub(hi0),
         );
 
         // Streaming telemetry: fold this step's sample into the monitor,
@@ -1313,14 +1301,14 @@ impl Model {
     /// Cumulative halo receive-wait nanoseconds on this rank (shared by
     /// the 2-D and 3-D halo engines).
     pub fn halo_wait_ns(&self) -> u64 {
-        self.halo2.halo_wait_ns()
+        self.halo.halo_wait_ns()
     }
 
     /// Cumulative nanoseconds exchanges spent in flight (begin → done)
     /// on this rank — concurrent spans add, so this is "communication ·
     /// seconds" available for overlap accounting.
     pub fn halo_inflight_ns(&self) -> u64 {
-        self.halo2.halo_inflight_ns()
+        self.halo.halo_inflight_ns()
     }
 
     /// Steps taken so far.

@@ -239,7 +239,7 @@ impl State {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_exchange::Halo2D;
+    use halo_exchange::Halo;
     use mpi_sim::{CartComm, World};
     use ocean_grid::{Bathymetry, GlobalGrid};
 
@@ -247,7 +247,7 @@ mod tests {
         let global = GlobalGrid::build(16, 10, 5, &Bathymetry::Flat(4000.0), false);
         World::run(1, |comm| {
             let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 16, 10);
+            let halo = Halo::new(&cart, 16, 10);
             LocalGrid::build(&global, &halo)
         })
         .pop()

@@ -4,7 +4,7 @@
 //! bounded, and the limited scheme must beat pure upstream on peak
 //! retention and L2 error.
 
-use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
+use halo_exchange::{FoldKind, Halo, Strategy3D, HALO as H};
 use kokkos_rs::{Space, View, View3};
 use licom::advect::{advect_tracer, FunctorDiagnoseW};
 use licom::localgrid::LocalGrid;
@@ -16,14 +16,14 @@ const DX: f64 = 10_000.0; // uniform 10 km Cartesian-ish grid
 
 struct Setup {
     grid: LocalGrid,
-    halo: Halo3D,
+    halo: Halo,
 }
 
 fn setup(comm: &mpi_sim::Comm) -> Setup {
     let global = GlobalGrid::build(N, N, 2, &Bathymetry::Flat(4000.0), false);
     let cart = CartComm::new(comm.clone(), 1, 1, true);
-    let h2 = Halo2D::new(&cart, N, N);
-    let grid = LocalGrid::build(&global, &h2);
+    let halo = Halo::new(&cart, N, N).with_strategy(Strategy3D::Transpose);
+    let grid = LocalGrid::build(&global, &halo);
     // Make the metric uniform so solid-body rotation is exact geometry.
     for jl in 0..grid.pj {
         grid.dxt.set_at(jl, DX);
@@ -37,10 +37,7 @@ fn setup(comm: &mpi_sim::Comm) -> Setup {
     grid.dz.set_at(1, 2000.0);
     grid.z_t.set_at(0, 1000.0);
     grid.z_t.set_at(1, 3000.0);
-    Setup {
-        halo: Halo3D::new(h2, 2, Strategy3D::Transpose),
-        grid,
-    }
+    Setup { halo, grid }
 }
 
 fn gaussian(j: f64, i: f64, cj: f64, ci: f64) -> f64 {

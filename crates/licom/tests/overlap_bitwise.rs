@@ -16,6 +16,17 @@ fn cfg() -> ocean_grid::ModelConfig {
     Resolution::Coarse100km.config().scaled_down(8, 6)
 }
 
+/// Golden per-rank `Model::checksum()` after 3 steps of `cfg()` on 3 ranks
+/// (px = 3: ranks 0 and 2 fold onto each other, rank 1 onto itself),
+/// recorded with the separate 2-D and 3-D halo engines that preceded the
+/// single `Halo` engine, on x86_64-linux-gnu (the model calls libm, so
+/// other targets may differ in the last bits).
+const CHECKSUM_3_RANKS: [u64; 3] = [
+    0x1888_d02f_f514_9193,
+    0xfc03_17eb_f409_6a33,
+    0xec26_4b5f_4ed0_5581,
+];
+
 fn spaces() -> Vec<(&'static str, fn() -> kokkos_rs::Space)> {
     vec![
         ("Serial", || kokkos_rs::Space::serial()),
@@ -44,10 +55,15 @@ fn overlap_matches_dense_bitwise_on_all_spaces() {
                 m.checksum()
             })
         };
+        let dense = checksums(false);
         assert_eq!(
-            checksums(false),
+            dense,
             checksums(true),
             "overlap diverged from dense on {name}"
+        );
+        assert_eq!(
+            dense, CHECKSUM_3_RANKS,
+            "{name} moved off the recorded checksum"
         );
     }
 }

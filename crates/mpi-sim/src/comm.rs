@@ -1447,6 +1447,8 @@ mod tests {
         let (_, t) = World::run_cfg(cfg, |comm| {
             comm.set_epoch(2);
             assert!(comm.is_alive(1), "not dead before the seeded epoch");
+            // Both ranks finish the epoch-2 check before rank 1 may die.
+            comm.barrier();
             comm.set_epoch(3);
             if comm.rank() == 1 {
                 assert!(comm.self_failed());

@@ -18,8 +18,9 @@
 //!   deterministic collectives, the tripolar Cartesian topology;
 //! * [`grid`] (`ocean-grid`) — tripolar grid, synthetic planet
 //!   bathymetry, vertical levels, decomposition, Table III/IV configs;
-//! * [`halo`] (`halo-exchange`) — 2-D/3-D halo updates, the north fold,
-//!   Fig. 5 transposes, overlap and batching;
+//! * [`halo`] (`halo-exchange`) — one split-phase halo engine for
+//!   `[nz, ny, nx]` fields (2-D fields as one-level views), the north
+//!   fold, Fig. 5 transposes, overlap and batching;
 //! * [`model`] (`licom`) — the OGCM itself: split-explicit leapfrog,
 //!   two-step shape-preserving advection, canuto mixing with load
 //!   balancing, diagnostics and GPTL-style timers;

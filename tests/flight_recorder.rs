@@ -8,9 +8,12 @@
 
 use licomkpp::grid::Resolution;
 use licomkpp::kokkos::Space;
-use licomkpp::model::{run_elastic, ElasticConfig, ElasticOutcome, ModelOptions, RecoveryPolicy};
+use licomkpp::model::{
+    run_elastic, ElasticConfig, ElasticOutcome, Model, ModelOptions, RecoveryPolicy,
+};
 use licomkpp::mpi::{FaultPlan, RetryPolicy, World, WorldConfig};
 use licomkpp::profiling::{read_bundle, FlightEventKind};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 const COMPUTE: usize = 3;
@@ -171,4 +174,49 @@ fn rank_death_black_boxes_on_all_spaces() {
 fn disabled_recorder_records_nothing_and_still_recovers() {
     let (_, n_bundles) = run_seeded_death(Space::serial, "disabled", false);
     assert_eq!(n_bundles, 0, "disabled recorder must not write bundles");
+}
+
+/// Every halo exchange of a step claims its own frame ordinal on its
+/// rank, 2-D and 3-D alike, so the packed `(epoch, ordinal)` key of a
+/// `HaloSend` event names exactly one exchange. One exchange sends at
+/// most one strip per direction, all under one tag base (bases step by
+/// 10); a key shared by two exchanges shows up as more strips, or as
+/// strips of two tag bases.
+#[test]
+fn halo_frame_keys_name_one_exchange_per_rank() {
+    World::run(COMPUTE, |comm| {
+        let mut o = ModelOptions::default();
+        o.flight_capacity = 1 << 16;
+        let mut m = Model::new(comm, cfg(), Space::serial(), o);
+        m.run_steps(1);
+        let events = comm.flight_ring().expect("recorder armed").snapshot();
+        let mut strips: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for (i, e) in events.iter().enumerate() {
+            if e.kind != FlightEventKind::HaloSend {
+                continue;
+            }
+            // The frame's wire message: this rank's latest send to the peer.
+            let wire = events[..i]
+                .iter()
+                .rev()
+                .find(|p| p.kind == FlightEventKind::MsgSend && p.a == e.b)
+                .expect("a framed strip travels as a message");
+            strips.entry(e.a).or_default().push(wire.b);
+        }
+        assert!(!strips.is_empty(), "a multi-rank step sends framed strips");
+        let rank = comm.rank();
+        for (key, tags) in &strips {
+            let bases: BTreeSet<u64> = tags.iter().map(|t| t / 10 * 10).collect();
+            assert_eq!(
+                bases.len(),
+                1,
+                "rank {rank}: key {key:#x} carries strips of tag bases {bases:?}"
+            );
+            assert!(
+                tags.len() <= 4,
+                "rank {rank}: key {key:#x} carries {} strips: {tags:?}",
+                tags.len()
+            );
+        }
+    });
 }

@@ -12,6 +12,23 @@ fn small_cfg() -> licomkpp::grid::ModelConfig {
     Resolution::Coarse100km.config().scaled_down(8, 6)
 }
 
+// Golden `Model::checksum()` values after 3 steps of `small_cfg()`,
+// recorded with the separate 2-D and 3-D halo engines that preceded the
+// single `Halo` engine. Every execution space and every halo option
+// reproduced them, so a halo bug that all spaces share still shows here.
+// The model calls libm (`sin`/`cos`/`exp`); the values were recorded on
+// x86_64-linux-gnu and other targets may differ in the last bits.
+
+/// One rank: px = 1, so the zonal wrap and the north fold are self-copies.
+const CHECKSUM_1_RANK: u64 = 0x0b64_9b14_eb4b_adda;
+/// Three ranks, px = 3: ranks 0 and 2 are each other's fold partner,
+/// rank 1 folds onto itself.
+const CHECKSUM_3_RANKS: [u64; 3] = [
+    0x1888_d02f_f514_9193,
+    0xfc03_17eb_f409_6a33,
+    0xec26_4b5f_4ed0_5581,
+];
+
 #[test]
 fn facade_full_pipeline_runs() {
     let cfg = small_cfg();
@@ -73,6 +90,38 @@ fn all_four_backends_bitwise_identical_through_facade() {
         sums.iter().all(|&s| s == sums[0]),
         "backends diverged: {sums:x?}"
     );
+    assert_eq!(sums[0], CHECKSUM_1_RANK, "moved off the recorded checksum");
+}
+
+#[test]
+fn halo_options_reproduce_recorded_checksums() {
+    // The halo switches the paper's ablations need change the schedule,
+    // never a bit: blocking vs overlapped, batched vs per-field messages,
+    // and both strip buffer orders, with and without a remote fold partner.
+    type Tweak = fn(&mut ModelOptions);
+    let variants: [(&str, Tweak); 4] = [
+        ("default", |_| {}),
+        ("overlap=false", |o| o.overlap = false),
+        ("overlap=false batched_halo=false", |o| {
+            o.overlap = false;
+            o.batched_halo = false;
+        }),
+        ("HorizontalMajor", |o| {
+            o.halo_strategy = licomkpp::halo::Strategy3D::HorizontalMajor
+        }),
+    ];
+    for (name, set) in variants {
+        for (ranks, want) in [(1, &[CHECKSUM_1_RANK][..]), (3, &CHECKSUM_3_RANKS[..])] {
+            let mut opts = ModelOptions::default();
+            set(&mut opts);
+            let sums = World::run(ranks, move |comm| {
+                let mut m = Model::new(comm, small_cfg(), Space::serial(), opts.clone());
+                m.run_steps(3);
+                m.checksum()
+            });
+            assert_eq!(sums, want, "{name} on {ranks} rank(s): {sums:x?}");
+        }
+    }
 }
 
 #[test]
