@@ -1,24 +1,20 @@
-//! Wet-fraction sweep: dense masked kernels vs packed active-set
-//! launches for the hot kernels — EOS (3-D cells + pressure columns),
-//! implicit vertical mixing (tracer columns), and the z-advection pass —
-//! at nominal 0% / 35% / 70% land fractions, on Serial and Threads.
+//! Wet-fraction sweep of the packed active-set launches for the hot
+//! kernels — EOS (3-D cells + pressure columns), implicit vertical mixing
+//! (tracer columns), and the z-advection pass — at nominal 0% / 35% / 70%
+//! land fractions, on Serial and Threads.
 //!
-//! The dense kernels already early-return on land (or compute harmless
-//! values there); the active-set launches skip those points entirely, so
-//! the gap measured here is pure iteration-and-mask overhead — exactly
-//! the cost the wet-point lists are meant to remove. Measured land
-//! fractions per world are printed on stderr at startup; results feed the
-//! EXPERIMENTS.md wet-fraction table.
+//! The launches skip land points entirely, so their time should scale
+//! with the wet fraction. Measured land fractions per world are printed
+//! on stderr at startup; results feed the EXPERIMENTS.md wet-fraction
+//! table.
 #![allow(clippy::field_reassign_with_default)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kokkos_rs::{
-    parallel_for_2d, parallel_for_list, ListPolicy, MDRangePolicy2, Space, View, View2,
-};
+use kokkos_rs::{parallel_for_list, ListPolicy, Space, View, View2};
 use licom::advect::{FunctorAdvectZ, FunctorAdvectZList};
 use licom::eos::{
-    compute_density_pressure, compute_density_pressure_active, FunctorEos, FunctorEosList,
-    FunctorPressure, FunctorPressureList,
+    compute_density_pressure_active, FunctorEos, FunctorEosList, FunctorPressure,
+    FunctorPressureList,
 };
 use licom::model::{Model, ModelOptions};
 use licom::vmix::{FunctorVmixImplicit, FunctorVmixList};
@@ -125,10 +121,6 @@ fn bench_wetset(c: &mut Criterion) {
         grp.warm_up_time(Duration::from_millis(500));
         grp.measurement_time(Duration::from_secs(4));
         for (sname, space) in &spaces {
-            let (f_eos, f_p) = (mk_eos(), mk_p());
-            grp.bench_function(format!("dense_{sname}"), |b| {
-                b.iter(|| compute_density_pressure(space, g.pi, g.pj, g.nz, &f_eos, &f_p))
-            });
             grp.bench_function(format!("active_{sname}"), |b| {
                 b.iter(|| {
                     compute_density_pressure_active(
@@ -151,10 +143,6 @@ fn bench_wetset(c: &mut Criterion) {
         grp.warm_up_time(Duration::from_millis(500));
         grp.measurement_time(Duration::from_secs(4));
         for (sname, space) in &spaces {
-            let f = mk_vmix();
-            grp.bench_function(format!("dense_{sname}"), |b| {
-                b.iter(|| parallel_for_2d(space, MDRangePolicy2::new([g.ny, g.nx]), &f))
-            });
             let fl = FunctorVmixList {
                 f: mk_vmix(),
                 pi: g.pi,
@@ -170,10 +158,6 @@ fn bench_wetset(c: &mut Criterion) {
         grp.warm_up_time(Duration::from_millis(500));
         grp.measurement_time(Duration::from_secs(4));
         for (sname, space) in &spaces {
-            let f = mk_az();
-            grp.bench_function(format!("dense_{sname}"), |b| {
-                b.iter(|| parallel_for_2d(space, MDRangePolicy2::new([g.ny, g.nx]), &f))
-            });
             let fl = FunctorAdvectZList {
                 f: mk_az(),
                 pi: g.pi,

@@ -24,8 +24,8 @@
 //! the Sunway cycle model.
 
 use kokkos_rs::{
-    parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
-    IterCost, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View1, View2, View3,
+    parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList, IterCost, ListPolicy,
+    MDRangePolicy3, Space, View1, View2, View3,
 };
 
 use halo_exchange::{FoldKind, Halo, HaloError, StepGraph, HALO as H};
@@ -284,9 +284,9 @@ impl FunctorDiagnoseW {
 }
 
 impl FunctorDiagnoseW {
-    /// Diagnose one column at **padded** indices (shared by the dense and
-    /// active-set launches). Land columns only re-zero `w`, which nothing
-    /// else writes — so the active-set launch can skip them bitwise-safely.
+    /// Diagnose one column at **padded** indices (the list launch's body).
+    /// Land columns only re-zero `w`, which nothing else writes — so the
+    /// active-set launch can skip them bitwise-safely.
     fn column(&self, jl: usize, il: usize) {
         let kmt = self.kmt.at(jl, il) as usize;
         for k in kmt..=self.nz {
@@ -324,8 +324,6 @@ impl Functor2D for FunctorDiagnoseW {
         }
     }
 }
-
-kokkos_rs::register_for_2d!(kernel_diagnose_w, FunctorDiagnoseW);
 
 /// Active-set continuity diagnosis: entry `idx` is a packed wet T column.
 pub struct FunctorDiagnoseWList {
@@ -440,8 +438,6 @@ impl Functor2D for FunctorAdvectZ {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_advect_z, FunctorAdvectZ);
-
 /// Active-set vertical pass: entry `idx` is a packed wet T column. Only
 /// valid when the pass is in place (`q` aliases `q1`), as in
 /// [`advect_tracer`] — see [`FunctorAdvectZ::column`].
@@ -469,9 +465,7 @@ pub fn register() {
     kernel_apply_x();
     kernel_flux_y();
     kernel_apply_y();
-    kernel_diagnose_w();
     kernel_diagnose_w_list();
-    kernel_advect_z();
     kernel_advect_z_list();
 }
 
@@ -484,10 +478,10 @@ pub fn register() {
 /// rows); with [`TmpExchange::Overlap`] that refresh overlaps the
 /// interior y-pass flux rows, which read no `tmp` ghost row.
 ///
-/// `wet_cols` (packed owned wet T columns) routes the column-local z pass
-/// through the active-set launch; the x/y passes stay dense because their
-/// apply steps copy `q → q1` on land — a real write into the scratch
-/// field that skipping would lose.
+/// The column-local z pass runs over `wet_cols` (packed owned wet T
+/// columns); the x/y passes stay rectangular because their apply steps
+/// copy `q → q1` on land — a real write into the scratch field that
+/// skipping would lose.
 #[allow(clippy::too_many_arguments)]
 pub fn advect_tracer(
     space: &Space,
@@ -501,7 +495,7 @@ pub fn advect_tracer(
     w: &View3<f64>,
     dt: f64,
     limited: bool,
-    wet_cols: Option<&ListPolicy>,
+    wet_cols: &ListPolicy,
     exchange: TmpExchange<'_>,
 ) -> Result<(), HaloError> {
     let (nx, ny, nz) = (g.nx, g.ny, g.nz);
@@ -630,10 +624,7 @@ pub fn advect_tracer(
         nz,
         limited,
     };
-    match wet_cols {
-        Some(cols) => parallel_for_list(space, cols, &FunctorAdvectZList { f: az, pi: g.pi }),
-        None => parallel_for_2d(space, MDRangePolicy2::new([ny, nx]), &az),
-    }
+    parallel_for_list(space, wet_cols, &FunctorAdvectZList { f: az, pi: g.pi });
     Ok(())
 }
 

@@ -135,11 +135,9 @@ impl Functor3D for FunctorMomentumTend {
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_momentum_tend, FunctorMomentumTend);
-
 /// Active-set momentum tendency: entry `idx` is a packed wet velocity
 /// cell `(k·pj + jl)·pi + il` (`k < kmu`). Dry cells keep the tendency
-/// views' initial zeros — exactly what the dense launch writes, and
+/// views' initial zeros — exactly what the cell operator writes, and
 /// `ut`/`vt` are consumed only where `kmu > k` — so the skip is bitwise
 /// neutral.
 pub struct FunctorMomentumTendList {
@@ -275,10 +273,8 @@ impl Functor2D for FunctorBtCorrect {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_bt_correct, FunctorBtCorrect);
-
 /// Active-set mode correction: entry `idx` is a packed wet velocity
-/// corner; the dense launch's dry-corner early-return is the exact
+/// corner; the column body's dry-corner early-return is the exact
 /// complement of the set.
 pub struct FunctorBtCorrectList {
     pub f: FunctorBtCorrect,
@@ -300,11 +296,9 @@ kokkos_rs::register_for_list!(kernel_bt_correct_list, FunctorBtCorrectList);
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_momentum_tend();
     kernel_momentum_tend_list();
     kernel_leapfrog_3d();
     kernel_asselin_3d();
-    kernel_bt_correct();
     kernel_bt_correct_list();
 }
 

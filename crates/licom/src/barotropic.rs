@@ -36,7 +36,7 @@ pub struct FunctorDepthMean {
 }
 
 impl FunctorDepthMean {
-    /// One corner at **padded** indices (shared by both launch shapes).
+    /// One corner at **padded** indices (the list launch's body).
     fn column(&self, jl: usize, il: usize) {
         let kb = self.kmu.at(jl, il) as usize;
         if kb == 0 {
@@ -67,11 +67,9 @@ impl Functor2D for FunctorDepthMean {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_depth_mean, FunctorDepthMean);
-
 /// Active-set depth mean: entry `idx` is a packed wet velocity corner
 /// (`kmu > 0`). Dry corners keep the output's initial zero — exactly what
-/// the dense launch writes, and nothing else writes `out` — so the skip
+/// the column body writes there, and nothing else writes `out` — so the skip
 /// is bitwise neutral. (The substep kernels [`FunctorBtEta`]/
 /// [`FunctorBtVel`] deliberately stay dense: the zonal polar filter and
 /// the Asselin filter write land cells unmasked, so their land zeros are
@@ -386,7 +384,6 @@ fn accum3(accs: &[View2<f64>; 3], xs: [&View2<f64>; 3]) -> FunctorAccum3 {
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_depth_mean();
     kernel_depth_mean_list();
     kernel_bt_eta();
     kernel_bt_vel();

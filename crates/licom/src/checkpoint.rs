@@ -1,12 +1,14 @@
 //! CRC-protected checkpoint ring and rollback-and-replay recovery.
 //!
-//! The restart files in [`crate::io`] assume a clean shutdown. This module
-//! is the *in-campaign* safety net: a ring of K per-rank checkpoints, each
+//! The one on-disk state format: a ring of K per-rank checkpoints, each
 //! field protected by a CRC32, written atomically (tmp + fsync + rename)
-//! so a crash mid-write can never destroy the previous good slot. When a
-//! step fails — a halo strip unrecoverable after retries, a physics guard
-//! trip — [`crate::Model::run_steps_resilient`] agrees collectively on the
-//! newest checkpoint *every* rank can verify, restores it, and replays.
+//! so a crash mid-write can never destroy the previous good slot. A
+//! restart between jobs is a one-slot ring (`licomkpp run --restart-dir`):
+//! save at the end of a run, [`CheckpointManager::restore_latest_collective`]
+//! at the start of the next. Within a campaign, when a step fails — a
+//! halo strip unrecoverable after retries, a physics guard trip —
+//! [`crate::Model::run_steps_resilient`] agrees collectively on the newest
+//! checkpoint *every* rank can verify, restores it, and replays.
 //! Replay is deterministic (same seeds, same reduction order on every
 //! backend), so a recovered run is bitwise identical to a fault-free one.
 //!
@@ -203,8 +205,9 @@ pub fn decode(buf: &[u8]) -> Result<CheckpointData, CheckpointError> {
     })
 }
 
-/// The prognostic snapshot a checkpoint carries: the same field set as the
-/// restart files (leapfrog roles of u/v/t/s/eta plus barotropic ubt/vbt).
+/// The prognostic snapshot a checkpoint carries: the leapfrog roles of
+/// u/v/t/s/eta plus barotropic ubt/vbt — everything a resumed run needs
+/// to continue bitwise.
 fn capture(m: &Model) -> CheckpointData {
     let mut fields = Vec::with_capacity(17);
     for (role, lev) in [
@@ -311,7 +314,7 @@ impl CheckpointManager {
     }
 
     fn slot_path(&self, slot: usize, rank: usize) -> PathBuf {
-        self.dir.join(format!("ckpt_slot{slot}_rank{rank:05}.bin"))
+        self.dir.join(slot_file_name(slot, rank))
     }
 
     /// Write this rank's checkpoint into the next ring slot: tmp file,
@@ -591,7 +594,8 @@ impl Model {
     }
 }
 
-/// Convenience: `slot_path` naming, exposed for tests and tooling.
+/// File name of one rank's ring slot, relative to the checkpoint
+/// directory.
 pub fn slot_file_name(slot: usize, rank: usize) -> String {
     format!("ckpt_slot{slot}_rank{rank:05}.bin")
 }

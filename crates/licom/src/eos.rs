@@ -8,8 +8,8 @@
 //! contribution `g ρ0 η`.
 
 use kokkos_rs::{
-    parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
-    IterCost, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View1, View2, View3,
+    parallel_for_list, Functor2D, Functor3D, FunctorList, IterCost, ListPolicy, Space, View1,
+    View2, View3,
 };
 
 use ocean_grid::{GRAVITY, RHO0};
@@ -51,8 +51,6 @@ impl Functor3D for FunctorEos {
         }
     }
 }
-
-kokkos_rs::register_for_3d!(kernel_eos, FunctorEos);
 
 /// Active-set EOS: entry `idx` is a packed wet cell `(k·pj + jl)·pi + il`.
 /// Density below `kmt` (and on land) is never consumed — `rho` feeds only
@@ -112,13 +110,12 @@ impl Functor2D for FunctorPressure {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_pressure, FunctorPressure);
-
 /// Active-set pressure: entry `idx` is a packed wet column `jl·pi + il`.
 /// Dry columns keep their initial zero pressure, which is exactly what
-/// the dense launch writes there (η ≡ 0 in the baroclinic integral), so
-/// the skip is bitwise neutral. The set must span the **padded** block —
-/// the momentum stencil reads pressure in the halo columns.
+/// the column integral would write there (η ≡ 0 in the baroclinic
+/// integral), so the skip is bitwise neutral. The set must span the
+/// **padded** block — the momentum stencil reads pressure in the halo
+/// columns.
 pub struct FunctorPressureList {
     pub f: FunctorPressure,
     pub pi: usize,
@@ -139,28 +136,13 @@ kokkos_rs::register_for_list!(kernel_pressure_list, FunctorPressureList);
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_eos();
-    kernel_pressure();
     kernel_eos_list();
     kernel_pressure_list();
 }
 
-/// Launch density + pressure over the **full padded block** (`pi × pj`),
-/// so pressure halos are valid wherever T/S halos are.
-pub fn compute_density_pressure(
-    space: &Space,
-    pi: usize,
-    pj: usize,
-    nz: usize,
-    f_eos: &FunctorEos,
-    f_p: &FunctorPressure,
-) {
-    parallel_for_3d(space, MDRangePolicy3::new([nz, pj, pi]), f_eos);
-    parallel_for_2d(space, MDRangePolicy2::new([pj, pi]), f_p);
-}
-
-/// Active-set variant of [`compute_density_pressure`]: density over the
-/// packed wet cells, pressure over the packed wet columns (both padded).
+/// Density over the packed wet cells, then pressure over the packed wet
+/// columns. Both sets span the **padded** block, so pressure halos are
+/// valid wherever T/S halos are.
 pub fn compute_density_pressure_active(
     space: &Space,
     cells: &ListPolicy,
@@ -177,6 +159,36 @@ mod tests {
     use super::*;
     use halo_exchange::HALO as H;
     use kokkos_rs::View;
+
+    /// Density and pressure over every cell and column of the padded
+    /// block (the model passes the wet subsets).
+    fn compute(eos: &FunctorEos, p: &FunctorPressure) {
+        let [nz, pj, pi] = eos.t.dims();
+        let all = |n: usize| ListPolicy::new(std::sync::Arc::new((0..n as u32).collect()));
+        compute_density_pressure_active(
+            &Space::serial(),
+            &all(nz * pj * pi),
+            &all(pj * pi),
+            FunctorEosList {
+                f: FunctorEos {
+                    t: eos.t.clone(),
+                    s: eos.s.clone(),
+                    rho: eos.rho.clone(),
+                },
+            },
+            FunctorPressureList {
+                f: FunctorPressure {
+                    rho: p.rho.clone(),
+                    eta: p.eta.clone(),
+                    pressure: p.pressure.clone(),
+                    dz: p.dz.clone(),
+                    kmt: p.kmt.clone(),
+                    nz,
+                },
+                pi,
+            },
+        );
+    }
 
     fn setup(nz: usize, ny: usize, nx: usize) -> (FunctorEos, FunctorPressure) {
         let d3 = [nz, ny + 2 * H, nx + 2 * H];
@@ -212,7 +224,7 @@ mod tests {
     #[test]
     fn reference_state_has_reference_density() {
         let (eos, p) = setup(4, 3, 3);
-        compute_density_pressure(&Space::serial(), 3 + 2 * H, 3 + 2 * H, 4, &eos, &p);
+        compute(&eos, &p);
         assert_eq!(eos.rho.at(0, H, H), RHO0);
     }
 
@@ -221,7 +233,7 @@ mod tests {
         let (eos, p) = setup(2, 2, 2);
         eos.t.set_at(0, H, H, T_REF + 5.0);
         eos.s.set_at(1, H, H, S_REF + 1.0);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 2, &eos, &p);
+        compute(&eos, &p);
         assert!(eos.rho.at(0, H, H) < RHO0);
         assert!(eos.rho.at(1, H, H) > RHO0);
     }
@@ -229,7 +241,7 @@ mod tests {
     #[test]
     fn pressure_increases_downward_hydrostatically() {
         let (eos, p) = setup(6, 2, 2);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 6, &eos, &p);
+        compute(&eos, &p);
         let mut prev = 0.0;
         for k in 0..6 {
             let pk = p.pressure.at(k, H, H);
@@ -244,10 +256,10 @@ mod tests {
     #[test]
     fn free_surface_raises_pressure_everywhere() {
         let (eos, p) = setup(3, 2, 2);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 3, &eos, &p);
+        compute(&eos, &p);
         let base = p.pressure.at(2, H, H);
         p.eta.set_at(H, H, 1.0); // 1 m of extra surface height
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 3, &eos, &p);
+        compute(&eos, &p);
         let lifted = p.pressure.at(2, H, H);
         assert!((lifted - base - GRAVITY * RHO0).abs() < 1e-6);
     }
@@ -256,7 +268,7 @@ mod tests {
     fn land_columns_get_flat_extension() {
         let (eos, p) = setup(4, 2, 2);
         p.kmt.set_at(H, H, 2);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 4, &eos, &p);
+        compute(&eos, &p);
         // Below kmt the pressure is held constant.
         assert_eq!(p.pressure.at(2, H, H), p.pressure.at(1, H, H));
         assert_eq!(p.pressure.at(3, H, H), p.pressure.at(1, H, H));

@@ -79,10 +79,8 @@ impl Functor2D for FunctorWindStress {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_wind_stress, FunctorWindStress);
-
 /// Active-set wind stress: entry `idx` is a packed wet velocity corner;
-/// the dense launch's dry-corner early-return is the set's complement.
+/// the column body's dry-corner early-return is the set's complement.
 pub struct FunctorWindStressList {
     pub f: FunctorWindStress,
     pub pi: usize,
@@ -141,8 +139,6 @@ impl Functor2D for FunctorSurfaceRestore {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_surface_restore, FunctorSurfaceRestore);
-
 /// Active-set surface restoring: entry `idx` is a packed wet T column.
 pub struct FunctorSurfaceRestoreList {
     pub f: FunctorSurfaceRestore,
@@ -164,9 +160,7 @@ kokkos_rs::register_for_list!(kernel_surface_restore_list, FunctorSurfaceRestore
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_wind_stress();
     kernel_wind_stress_list();
-    kernel_surface_restore();
     kernel_surface_restore_list();
 }
 

@@ -33,7 +33,6 @@ pub mod eos;
 pub mod forcing;
 pub mod guard;
 pub mod history;
-pub mod io;
 pub mod localgrid;
 pub mod model;
 pub mod spectra;

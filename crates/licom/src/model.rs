@@ -75,17 +75,11 @@ pub struct ModelOptions {
     pub overlap: bool,
     /// Batch tracer fields into one message per direction.
     pub batched_halo: bool,
-    /// Zonal polar filter on barotropic fields near the cap.
-    pub polar_filter: bool,
     /// Run the implicit vertical solves as a TeamPolicy launch whose
     /// tridiagonal work arrays live in team scratch (LDM on the Sunway
     /// backend — the §V-C2 "local arrays within the functor" strategy).
     /// Bitwise identical to the flat launch.
     pub vmix_team: bool,
-    /// Launch hot masked kernels over packed wet-point index lists
-    /// (`ListPolicy`) instead of dense rectangles, skipping land work.
-    /// Bitwise identical to the dense masked launches on every backend.
-    pub active_set: bool,
     /// Frame every halo strip with a CRC-protected header and recover
     /// corrupted/dropped strips through bounded retry (§ robustness).
     /// Bitwise identical on a clean network; adds 4 words per message.
@@ -125,9 +119,7 @@ impl Default for ModelOptions {
             halo_strategy: Strategy3D::Transpose,
             overlap: true,
             batched_halo: true,
-            polar_filter: true,
             vmix_team: false,
-            active_set: true,
             integrity: true,
             retry: RetryPolicy::default(),
             guard: Some(crate::guard::GuardConfig::default()),
@@ -225,10 +217,8 @@ impl Functor3D for FunctorTracerHDiff {
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_tracer_hdiff, FunctorTracerHDiff);
-
 /// Active-set tracer diffusion: entry `idx` is a packed **owned** wet
-/// cell `(k·pj + jl)·pi + il` (`k < kmt`); the dense launch's dry-cell
+/// cell `(k·pj + jl)·pi + il` (`k < kmt`); the functor's dry-cell
 /// early-return is the exact complement of the set.
 pub struct FunctorTracerHDiffList {
     pub f: FunctorTracerHDiff,
@@ -242,7 +232,7 @@ impl FunctorList for FunctorTracerHDiffList {
         let il = idx % self.pi;
         let rest = idx / self.pi;
         let (k, jl) = (rest / self.pj, rest % self.pj);
-        // The dense operator offsets by the halo width itself.
+        // The cell operator offsets by the halo width itself.
         self.f.operator(k, jl - H, il - H);
     }
 
@@ -255,7 +245,6 @@ kokkos_rs::register_for_list!(kernel_tracer_hdiff_list, FunctorTracerHDiffList);
 
 /// Register driver-level functors.
 pub fn register() {
-    kernel_tracer_hdiff();
     kernel_tracer_hdiff_list();
 }
 
@@ -279,7 +268,7 @@ struct WetPolicies {
     ucells: ListPolicy,
     /// Interior/rim split of `cells` (1-cell horizontal rim): overlap
     /// mode launches the interior, drives pending exchanges, then sweeps
-    /// the rim. Disjoint union of the dense set — bitwise identical.
+    /// the rim. Disjoint union of `cells` — bitwise identical.
     cells_interior: ListPolicy,
     cells_rim: ListPolicy,
     /// Interior/rim split of `ucells`.
@@ -402,7 +391,7 @@ impl Model {
         let filter_rows: View1<i32> = View::host("filter_rows", [grid.pj]);
         let mut any = false;
         for jl in 0..grid.pj {
-            let flag = opts.polar_filter && grid.dxt.at(jl) < 1.5 * dx_need;
+            let flag = grid.dxt.at(jl) < 1.5 * dx_need;
             filter_rows.set_at(jl, i32::from(flag));
             any |= flag;
         }
@@ -573,35 +562,32 @@ impl Model {
         // 1. Density and baroclinic pressure over the full padded block
         // (T/S halos are valid, so pressure halos come out valid too —
         // the momentum stencil reads them at the block edge).
-        let active = self.opts.active_set;
         self.timers.start("eos");
-        let f_eos = FunctorEos {
-            t: self.state.t[c].clone(),
-            s: self.state.s[c].clone(),
-            rho: self.state.rho.clone(),
-        };
-        let f_p = FunctorPressure {
-            rho: self.state.rho.clone(),
-            eta: self.zero2.clone(),
-            pressure: self.state.pressure.clone(),
-            dz: g.dz.clone(),
-            kmt: g.kmt.clone(),
-            nz: g.nz,
-        };
-        if active {
-            // Wet cells/columns over the padded block: halo densities and
-            // pressures stay valid, land keeps its initial zeros (which is
-            // what the dense launch writes there).
-            crate::eos::compute_density_pressure_active(
-                &space,
-                &self.wet.cells_pad,
-                &self.wet.cols_pad,
-                FunctorEosList { f: f_eos },
-                FunctorPressureList { f: f_p, pi: g.pi },
-            );
-        } else {
-            crate::eos::compute_density_pressure(&space, g.pi, g.pj, g.nz, &f_eos, &f_p);
-        }
+        // Wet cells/columns over the padded block: halo densities and
+        // pressures stay valid, land keeps its initial zeros.
+        crate::eos::compute_density_pressure_active(
+            &space,
+            &self.wet.cells_pad,
+            &self.wet.cols_pad,
+            FunctorEosList {
+                f: FunctorEos {
+                    t: self.state.t[c].clone(),
+                    s: self.state.s[c].clone(),
+                    rho: self.state.rho.clone(),
+                },
+            },
+            FunctorPressureList {
+                f: FunctorPressure {
+                    rho: self.state.rho.clone(),
+                    eta: self.zero2.clone(),
+                    pressure: self.state.pressure.clone(),
+                    dz: g.dz.clone(),
+                    kmt: g.kmt.clone(),
+                    nz: g.nz,
+                },
+                pi: g.pi,
+            },
+        );
         self.timers.stop("eos");
 
         // 2. canuto mixing coefficients.
@@ -636,90 +622,67 @@ impl Model {
         self.timers.stop("canuto");
 
         // 3. Momentum tendency + wind stress. (The pressure kernel above
-        // stays dense/unsplit on purpose: its halo inputs — T/S and thus
-        // rho — are already valid at step entry, so there is no exchange
-        // to hide behind an interior pass.)
+        // stays unsplit on purpose: its halo inputs — T/S and thus rho —
+        // are already valid at step entry, so there is no exchange to
+        // hide behind an interior pass.)
         self.timers.start("momentum");
-        let mk_tend = || FunctorMomentumTend {
-            u_cur: self.state.u[c].clone(),
-            v_cur: self.state.v[c].clone(),
-            u_old: self.state.u[o].clone(),
-            v_old: self.state.v[o].clone(),
-            pressure: self.state.pressure.clone(),
-            ut: self.state.ut.clone(),
-            vt: self.state.vt.clone(),
-            kmu: g.kmu.clone(),
-            fcor: g.fcor.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dz: g.dz.clone(),
-            visc: self.visc,
+        let tend = FunctorMomentumTendList {
+            f: FunctorMomentumTend {
+                u_cur: self.state.u[c].clone(),
+                v_cur: self.state.v[c].clone(),
+                u_old: self.state.u[o].clone(),
+                v_old: self.state.v[o].clone(),
+                pressure: self.state.pressure.clone(),
+                ut: self.state.ut.clone(),
+                vt: self.state.vt.clone(),
+                kmu: g.kmu.clone(),
+                fcor: g.fcor.clone(),
+                dxt: g.dxt.clone(),
+                dyt: g.dyt,
+                dz: g.dz.clone(),
+                visc: self.visc,
+            },
+            pj: g.pj,
+            pi: g.pi,
         };
-        let f_wind = FunctorWindStress {
-            ut: self.state.ut.clone(),
-            vt: self.state.vt.clone(),
-            lat: g.lat.clone(),
-            kmu: g.kmu.clone(),
-            dz0: g.dz.at(0),
-        };
-        if active {
-            if self.opts.overlap {
-                // Interior/rim split: per-cell independent writes over a
-                // disjoint union of the dense set — bitwise identical.
-                for wet in [&self.wet.ucells_interior, &self.wet.ucells_rim] {
-                    parallel_for_list(
-                        &space,
-                        wet,
-                        &FunctorMomentumTendList {
-                            f: mk_tend(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
-                }
-            } else {
-                parallel_for_list(
-                    &space,
-                    &self.wet.ucells,
-                    &FunctorMomentumTendList {
-                        f: mk_tend(),
-                        pj: g.pj,
-                        pi: g.pi,
-                    },
-                );
-            }
-            parallel_for_list(
-                &space,
-                &self.wet.ucols,
-                &FunctorWindStressList {
-                    f: f_wind,
-                    pi: g.pi,
-                },
-            );
+        // Overlap mode splits the wet set into interior and rim: per-cell
+        // independent writes over a disjoint union — bitwise identical.
+        if self.opts.overlap {
+            parallel_for_list(&space, &self.wet.ucells_interior, &tend);
+            parallel_for_list(&space, &self.wet.ucells_rim, &tend);
         } else {
-            parallel_for_3d(&space, p3, &mk_tend());
-            parallel_for_2d(&space, p2, &f_wind);
+            parallel_for_list(&space, &self.wet.ucells, &tend);
         }
+        parallel_for_list(
+            &space,
+            &self.wet.ucols,
+            &FunctorWindStressList {
+                f: FunctorWindStress {
+                    ut: self.state.ut.clone(),
+                    vt: self.state.vt.clone(),
+                    lat: g.lat.clone(),
+                    kmu: g.kmu.clone(),
+                    dz0: g.dz.at(0),
+                },
+                pi: g.pi,
+            },
+        );
         self.timers.stop("momentum");
 
         // 4. Barotropic window.
         self.timers.start("barotropic");
         for (tend, out) in [(&self.state.ut, &self.gu), (&self.state.vt, &self.gv)] {
-            let f_dm = FunctorDepthMean {
+            let f = FunctorDepthMean {
                 tend: tend.clone(),
                 out: out.clone(),
                 kmu: g.kmu.clone(),
                 dz: g.dz.clone(),
             };
-            if active {
-                parallel_for_list(
-                    &space,
-                    &self.wet.ucols,
-                    &FunctorDepthMeanList { f: f_dm, pi: g.pi },
-                );
-            } else {
-                parallel_for_2d(&space, p2, &f_dm);
-            }
+            parallel_for_list(
+                &space,
+                &self.wet.ucols,
+                &FunctorDepthMeanList { f, pi: g.pi },
+            );
         }
         let substeps = ((dt2 / self.cfg.dt_barotropic).round() as usize).max(1);
         let (gu, gv) = (self.gu.clone(), self.gv.clone());
@@ -766,7 +729,7 @@ impl Model {
         self.timers.stop("update_uv");
         self.timers.start("vmix_momentum");
         for field in [&self.state.u[n], &self.state.v[n]] {
-            self.launch_vmix(&space, field, &self.state.km, &g.kmu, dt2, active);
+            self.launch_vmix(&space, field, &self.state.km, &g.kmu, dt2);
         }
         let f_btc = FunctorBtCorrect {
             u: self.state.u[n].clone(),
@@ -776,32 +739,26 @@ impl Model {
             kmu: g.kmu.clone(),
             dz: g.dz.clone(),
         };
-        if active {
-            parallel_for_list(
-                &space,
-                &self.wet.ucols,
-                &FunctorBtCorrectList { f: f_btc, pi: g.pi },
-            );
-        } else {
-            parallel_for_2d(&space, p2, &f_btc);
-        }
+        parallel_for_list(
+            &space,
+            &self.wet.ucols,
+            &FunctorBtCorrectList { f: f_btc, pi: g.pi },
+        );
         self.timers.stop("vmix_momentum");
 
         // 6. Velocity halo update, overlapped with the w diagnosis.
         self.timers.start("halo_uv");
-        let mk_w = || FunctorDiagnoseW {
-            u: self.state.u[c].clone(),
-            v: self.state.v[c].clone(),
-            w: self.state.w.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dz: g.dz.clone(),
-            nz: g.nz,
-        };
-        let w_functor = mk_w();
         let w_list = FunctorDiagnoseWList {
-            f: mk_w(),
+            f: FunctorDiagnoseW {
+                u: self.state.u[c].clone(),
+                v: self.state.v[c].clone(),
+                w: self.state.w.clone(),
+                kmt: g.kmt.clone(),
+                dxt: g.dxt.clone(),
+                dyt: g.dyt,
+                dz: g.dz.clone(),
+                nz: g.nz,
+            },
             pi: g.pi,
         };
         let wet_t_cols = &self.wet.cols;
@@ -824,19 +781,11 @@ impl Model {
                 )
                 .map(|p| {
                     let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-                    if active {
-                        parallel_for_list(&space, wet_t_cols, &w_list);
-                    } else {
-                        parallel_for_2d(&space, p2, &w_functor);
-                    }
+                    parallel_for_list(&space, wet_t_cols, &w_list);
                     pend_uv = Some(p);
                 })
         } else {
-            if active {
-                parallel_for_list(&space, wet_t_cols, &w_list);
-            } else {
-                parallel_for_2d(&space, p2, &w_functor);
-            }
+            parallel_for_list(&space, wet_t_cols, &w_list);
             if self.opts.batched_halo {
                 self.halo.try_exchange(
                     &[
@@ -880,7 +829,7 @@ impl Model {
                 &self.state.w,
                 dt,
                 self.opts.limiter,
-                if active { Some(wet_t_cols) } else { None },
+                wet_t_cols,
                 if self.opts.overlap {
                     advect::TmpExchange::Overlap {
                         halo: &self.halo,
@@ -907,83 +856,54 @@ impl Model {
             (&self.state.t[c], &self.state.t[n]),
             (&self.state.s[c], &self.state.s[n]),
         ] {
-            let mk_hd = || FunctorTracerHDiff {
-                q_cur: cur.clone(),
-                q_new: new.clone(),
-                kmt: g.kmt.clone(),
-                dxt: g.dxt.clone(),
-                dyt: g.dyt,
-                kappa: self.kappa,
-                dt,
+            let hd = FunctorTracerHDiffList {
+                f: FunctorTracerHDiff {
+                    q_cur: cur.clone(),
+                    q_new: new.clone(),
+                    kmt: g.kmt.clone(),
+                    dxt: g.dxt.clone(),
+                    dyt: g.dyt,
+                    kappa: self.kappa,
+                    dt,
+                },
+                pj: g.pj,
+                pi: g.pi,
             };
-            if active {
-                if self.opts.overlap {
-                    // Interior/rim split (disjoint, per-cell independent
-                    // — bitwise identical to the dense list), with a poll
-                    // of the carried u/v exchange between the halves.
-                    parallel_for_list(
-                        &space,
-                        &self.wet.cells_interior,
-                        &FunctorTracerHDiffList {
-                            f: mk_hd(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
-                    if let Some(p) = pend_uv.as_mut() {
-                        hd_res = hd_res.and_then(|()| p.poll().map(|_| ()));
-                    }
-                    parallel_for_list(
-                        &space,
-                        &self.wet.cells_rim,
-                        &FunctorTracerHDiffList {
-                            f: mk_hd(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
-                } else {
-                    parallel_for_list(
-                        &space,
-                        &self.wet.cells,
-                        &FunctorTracerHDiffList {
-                            f: mk_hd(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
+            if self.opts.overlap {
+                // Interior/rim split (disjoint, per-cell independent —
+                // bitwise identical to the whole list), with a poll of
+                // the carried u/v exchange between the halves.
+                parallel_for_list(&space, &self.wet.cells_interior, &hd);
+                if let Some(p) = pend_uv.as_mut() {
+                    hd_res = hd_res.and_then(|()| p.poll().map(|_| ()));
                 }
+                parallel_for_list(&space, &self.wet.cells_rim, &hd);
             } else {
-                parallel_for_3d(&space, p3, &mk_hd());
+                parallel_for_list(&space, &self.wet.cells, &hd);
             }
         }
         self.timers.stop("hdiff");
         hd_res?;
         self.timers.start("vmix_tracer");
         for field in [&self.state.t[n], &self.state.s[n]] {
-            self.launch_vmix(&space, field, &self.state.kh, &g.kmt, dt, active);
+            self.launch_vmix(&space, field, &self.state.kh, &g.kmt, dt);
         }
         self.timers.stop("vmix_tracer");
         self.timers.start("forcing");
-        let f_restore = FunctorSurfaceRestore {
-            t_new: self.state.t[n].clone(),
-            s_new: self.state.s[n].clone(),
-            lat: g.lat.clone(),
-            kmt: g.kmt.clone(),
-            dt,
-        };
-        if active {
-            parallel_for_list(
-                &space,
-                &self.wet.cols,
-                &FunctorSurfaceRestoreList {
-                    f: f_restore,
-                    pi: g.pi,
+        parallel_for_list(
+            &space,
+            &self.wet.cols,
+            &FunctorSurfaceRestoreList {
+                f: FunctorSurfaceRestore {
+                    t_new: self.state.t[n].clone(),
+                    s_new: self.state.s[n].clone(),
+                    lat: g.lat.clone(),
+                    kmt: g.kmt.clone(),
+                    dt,
                 },
-            );
-        } else {
-            parallel_for_2d(&space, p2, &f_restore);
-        }
+                pi: g.pi,
+            },
+        );
         self.timers.stop("forcing");
 
         // 8. Tracer halo update + Asselin on the leapfrogged fields.
@@ -1210,9 +1130,9 @@ impl Model {
         self.gv.fill(0.0);
     }
 
-    /// Launch one implicit vertical solve through the configured shape
-    /// (flat rectangle launch, TeamPolicy with LDM scratch, or the
-    /// active-set packed wet-column list matching `mask`).
+    /// Launch one implicit vertical solve through the configured shape:
+    /// TeamPolicy with LDM scratch, or the packed wet-column list
+    /// matching `mask`.
     fn launch_vmix(
         &self,
         space: &Space,
@@ -1220,7 +1140,6 @@ impl Model {
         kcoef: &kokkos_rs::View3<f64>,
         mask: &View2<i32>,
         dt: f64,
-        active: bool,
     ) {
         let g = &self.grid;
         let _r = kokkos_rs::profiling::region("vmix:solve");
@@ -1249,18 +1168,14 @@ impl Model {
                 dt,
                 nz: g.nz,
             };
-            if active {
-                // Pick the wet set matching the solve's mask (kmu for
-                // momentum, kmt for tracers).
-                let wet = if mask.data_ptr() == g.kmu.data_ptr() {
-                    &self.wet.ucols
-                } else {
-                    &self.wet.cols
-                };
-                parallel_for_list(space, wet, &FunctorVmixList { f, pi: g.pi });
+            // Pick the wet set matching the solve's mask (kmu for
+            // momentum, kmt for tracers).
+            let wet = if mask.data_ptr() == g.kmu.data_ptr() {
+                &self.wet.ucols
             } else {
-                parallel_for_2d(space, MDRangePolicy2::new([g.ny, g.nx]), &f);
-            }
+                &self.wet.cols
+            };
+            parallel_for_list(space, wet, &FunctorVmixList { f, pi: g.pi });
         }
     }
 

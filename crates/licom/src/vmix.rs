@@ -77,11 +77,9 @@ impl Functor2D for FunctorVmixImplicit {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_vmix_implicit, FunctorVmixImplicit);
-
 /// Active-set implicit solve: entry `idx` is a packed wet column
-/// `jl·pi + il` (against the same mask the solver uses, so the dense
-/// launch's land early-return is exactly the set's complement).
+/// `jl·pi + il` (against the same mask the solver uses, so the column
+/// solve's land early-return is exactly the set's complement).
 pub struct FunctorVmixList {
     pub f: FunctorVmixImplicit,
     pub pi: usize,
@@ -102,7 +100,6 @@ kokkos_rs::register_for_list!(kernel_vmix_list, FunctorVmixList);
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_vmix_implicit();
     kernel_vmix_list();
     kernel_vmix_team();
 }
@@ -333,7 +330,7 @@ kokkos_rs::register_team!(kernel_vmix_team, FunctorVmixTeam);
 #[allow(clippy::type_complexity)]
 mod team_tests {
     use super::*;
-    use kokkos_rs::{parallel_for_2d, parallel_for_team, MDRangePolicy2, Space, TeamPolicy, View};
+    use kokkos_rs::{parallel_for_list, parallel_for_team, ListPolicy, Space, TeamPolicy, View};
 
     fn fields(nz: usize, n: usize) -> (View3<f64>, View3<f64>, View2<i32>, View1<f64>, View1<f64>) {
         let (pj, pi) = (n + 2 * H, n + 2 * H);
@@ -353,24 +350,32 @@ mod team_tests {
 
     #[test]
     fn team_solve_bitwise_matches_flat_solve() {
-        kernel_vmix_implicit();
         kernel_vmix_team();
         let (nz, n) = (12, 9);
         let (q1, kc, mask, dz, z_t) = fields(nz, n);
         let q2: View3<f64> = View::host("q2", q1.dims());
         q2.copy_from_slice(q1.as_slice());
-        // Flat launch.
-        parallel_for_2d(
+        // Wet-column list launch, as the model runs it.
+        let pi = n + 2 * H;
+        let wet: Vec<u32> = (H..H + n)
+            .flat_map(|jl| (H..H + n).map(move |il| (jl, il)))
+            .filter(|&(jl, il)| mask.at(jl, il) > 0)
+            .map(|(jl, il)| (jl * pi + il) as u32)
+            .collect();
+        parallel_for_list(
             &Space::serial(),
-            MDRangePolicy2::new([n, n]),
-            &FunctorVmixImplicit {
-                q: q1.clone(),
-                kcoef: kc.clone(),
-                mask: mask.clone(),
-                dz: dz.clone(),
-                z_t: z_t.clone(),
-                dt: 1800.0,
-                nz,
+            &ListPolicy::new(std::sync::Arc::new(wet)),
+            &FunctorVmixList {
+                f: FunctorVmixImplicit {
+                    q: q1.clone(),
+                    kcoef: kc.clone(),
+                    mask: mask.clone(),
+                    dz: dz.clone(),
+                    z_t: z_t.clone(),
+                    dt: 1800.0,
+                    nz,
+                },
+                pi,
             },
         );
         // Team launch on every backend, including simulated LDM scratch.

@@ -5,8 +5,8 @@
 //! retention and L2 error.
 
 use halo_exchange::{FoldKind, Halo, Strategy3D, HALO as H};
-use kokkos_rs::{Space, View, View3};
-use licom::advect::{advect_tracer, FunctorDiagnoseW};
+use kokkos_rs::{ListPolicy, Space, View, View3};
+use licom::advect::{advect_tracer, FunctorDiagnoseW, FunctorDiagnoseWList};
 use licom::localgrid::LocalGrid;
 use mpi_sim::{CartComm, World};
 use ocean_grid::{Bathymetry, GlobalGrid};
@@ -89,21 +89,21 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
         }
         let initial = q.to_vec();
         // Diagnose w (solid body is divergence-free → w ≈ 0).
-        let wf = FunctorDiagnoseW {
-            u: u.clone(),
-            v: v.clone(),
-            w: w.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dz: g.dz.clone(),
-            nz: 2,
+        let wet_cols = ListPolicy::new(g.wet.cols_own.indices.clone());
+        let wf = FunctorDiagnoseWList {
+            f: FunctorDiagnoseW {
+                u: u.clone(),
+                v: v.clone(),
+                w: w.clone(),
+                kmt: g.kmt.clone(),
+                dxt: g.dxt.clone(),
+                dyt: g.dyt,
+                dz: g.dz.clone(),
+                nz: 2,
+            },
+            pi: g.pi,
         };
-        kokkos_rs::parallel_for_2d(
-            &Space::serial(),
-            kokkos_rs::MDRangePolicy2::new([g.ny, g.nx]),
-            &wf,
-        );
+        kokkos_rs::parallel_for_list(&Space::serial(), &wet_cols, &wf);
         // In the rigid core the discrete divergence vanishes exactly; the
         // edge taper leaves a small residual w there. This test isolates
         // the *horizontal* rotation, so zero w (the z-pass and the
@@ -140,7 +140,7 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
                 &w,
                 dt,
                 limited,
-                None,
+                &wet_cols,
                 licom::advect::TmpExchange::Blocking(&|t| {
                     s.halo.exchange(t, FoldKind::Scalar, 10);
                     Ok(())

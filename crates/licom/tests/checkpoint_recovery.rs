@@ -94,8 +94,10 @@ proptest! {
 }
 
 /// Resume-from-checkpoint is bitwise identical to an uninterrupted run on
-/// every execution space, including after `reset_transients` (the restore
-/// path zeroes work arrays rather than inheriting the donor model's).
+/// every execution space, at 1 rank and at 3 (each rank restores its own
+/// slot after the collective step agreement), including after
+/// `reset_transients` (the restore path zeroes work arrays rather than
+/// inheriting the donor model's).
 #[test]
 fn checkpoint_resume_is_bitwise_on_all_spaces() {
     let spaces: Vec<(&str, fn() -> kokkos_rs::Space)> = vec![
@@ -107,38 +109,78 @@ fn checkpoint_resume_is_bitwise_on_all_spaces() {
         }),
     ];
     for (name, mk) in spaces {
-        let dir = std::env::temp_dir().join(format!("licom_ckpt_resume_{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let reference = World::run(1, move |comm| {
-            let mut m = Model::new(comm, cfg(), mk(), ModelOptions::default());
-            m.run_steps(6);
-            m.checksum()
-        })
-        .pop()
-        .unwrap();
-        let resumed = World::run(1, {
-            let dir = dir.clone();
-            move |comm| {
-                let mut mgr = CheckpointManager::new(&dir, 2);
+        for ranks in [1, 3] {
+            let dir = std::env::temp_dir().join(format!("licom_ckpt_resume_{name}_{ranks}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let reference = World::run(ranks, move |comm| {
                 let mut m = Model::new(comm, cfg(), mk(), ModelOptions::default());
-                m.run_steps(3);
-                mgr.save(&m).unwrap();
-                // Dirty the donor's transients to prove restore does not
-                // depend on them, then restore into a *fresh* model.
-                let mut m2 = Model::new(comm, cfg(), mk(), ModelOptions::default());
-                m2.run_steps(1); // desynchronize: work arrays + step count differ
-                let step = mgr.restore_latest_collective(&mut m2).unwrap();
-                assert_eq!(step, 3, "{name}");
-                assert_eq!(m2.steps_taken(), 3, "{name}");
-                m2.run_steps(3);
-                m2.checksum()
-            }
-        })
-        .pop()
-        .unwrap();
-        assert_eq!(reference, resumed, "resume diverged on {name}");
-        let _ = std::fs::remove_dir_all(&dir);
+                m.run_steps(6);
+                m.checksum()
+            });
+            let resumed = World::run(ranks, {
+                let dir = dir.clone();
+                move |comm| {
+                    let mut mgr = CheckpointManager::new(&dir, 2);
+                    let mut m = Model::new(comm, cfg(), mk(), ModelOptions::default());
+                    m.run_steps(3);
+                    mgr.save(&m).unwrap();
+                    // Dirty the donor's transients to prove restore does not
+                    // depend on them, then restore into a *fresh* model.
+                    let mut m2 = Model::new(comm, cfg(), mk(), ModelOptions::default());
+                    m2.run_steps(1); // desynchronize: work arrays + step count differ
+                    let step = mgr.restore_latest_collective(&mut m2).unwrap();
+                    assert_eq!(step, 3, "{name}");
+                    assert_eq!(m2.steps_taken(), 3, "{name}");
+                    m2.run_steps(3);
+                    m2.checksum()
+                }
+            });
+            assert_eq!(
+                reference, resumed,
+                "resume diverged on {name}, {ranks} rank(s)"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
+}
+
+/// A valid checkpoint written for one grid must not restore into a model
+/// with another: the restore reports `Mismatch` and leaves the target's
+/// state and step count untouched.
+#[test]
+fn restore_into_different_geometry_is_mismatch_and_leaves_state() {
+    let dir = std::env::temp_dir().join("licom_ckpt_geometry");
+    let _ = std::fs::remove_dir_all(&dir);
+    World::run(1, {
+        let dir = dir.clone();
+        move |comm| {
+            let mut m = Model::new(
+                comm,
+                cfg(),
+                kokkos_rs::Space::serial(),
+                ModelOptions::default(),
+            );
+            m.run_steps(2);
+            CheckpointManager::new(&dir, 1).save(&m).unwrap();
+            // Same horizontal grid, one level fewer.
+            let other = Resolution::Coarse100km.config().scaled_down(8, 5);
+            let mut m5 = Model::new(
+                comm,
+                other,
+                kokkos_rs::Space::serial(),
+                ModelOptions::default(),
+            );
+            m5.run_steps(1);
+            let before = m5.checksum();
+            match CheckpointManager::new(&dir, 1).restore_latest_collective(&mut m5) {
+                Err(CheckpointError::Mismatch(msg)) => assert!(msg.contains("geometry"), "{msg}"),
+                other => panic!("expected Mismatch, got {other:?}"),
+            }
+            assert_eq!(m5.checksum(), before, "state changed by a rejected restore");
+            assert_eq!(m5.steps_taken(), 1);
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression (counter windowing): two successive `run_steps_resilient`

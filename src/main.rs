@@ -5,6 +5,7 @@
 //!              [--backend serial|threads|devicesim|swathread]
 //!              [--ranks N] [--days D] [--bathy earth|aqua]
 //!              [--restart-dir DIR]        resume if present, save at end
+//!                                         (a one-slot checkpoint ring)
 //!              [--history FILE.csv]       daily global diagnostics
 //! licomkpp project [--config ...] [--machine orise|sunway|v100|taishan]
 //!                  [--devices a,b,c]      full-scale SYPD projection
@@ -16,7 +17,7 @@ use std::path::PathBuf;
 
 use licomkpp::grid::{Bathymetry, Resolution};
 use licomkpp::kokkos::Space;
-use licomkpp::model::{Model, ModelOptions};
+use licomkpp::model::{CheckpointManager, Model, ModelOptions};
 use licomkpp::mpi::World;
 use licomkpp::perf::{calibration, project, Machine, ProblemSpec, SunwayVariant};
 
@@ -82,11 +83,13 @@ fn cmd_run(flags: HashMap<String, String>) {
     );
     World::run(ranks, move |comm| {
         let mut m = Model::new(comm, cfg.clone(), space.clone(), opts.clone());
+        // Restarts are a one-slot checkpoint ring: every field is
+        // CRC-verified and all ranks agree on the step they resume from.
         if let Some(dir) = &restart_dir {
-            match m.load_restart(dir) {
-                Ok(()) => {
+            match CheckpointManager::new(dir, 1).restore_latest_collective(&mut m) {
+                Ok(step) => {
                     if comm.rank() == 0 {
-                        println!("resumed from {dir:?} at step {}", m.steps_taken());
+                        println!("resumed from {dir:?} at step {step}");
                     }
                 }
                 Err(e) => {
@@ -119,7 +122,9 @@ fn cmd_run(flags: HashMap<String, String>) {
             m.run_days(days)
         };
         if let Some(dir) = &restart_dir {
-            m.save_restart(dir).expect("restart write failed");
+            CheckpointManager::new(dir, 1)
+                .save(&m)
+                .expect("restart write failed");
         }
         if comm.rank() == 0 {
             let d = m.diagnostics();

@@ -6,7 +6,7 @@
 use licomkpp::grid::{Bathymetry, ModelConfig};
 use licomkpp::halo::FoldKind;
 use licomkpp::kokkos::Space;
-use licomkpp::model::advect::{advect_tracer, FunctorDiagnoseW};
+use licomkpp::model::advect::{advect_tracer, FunctorDiagnoseW, FunctorDiagnoseWList};
 use licomkpp::model::{Model, ModelOptions};
 use licomkpp::mpi::World;
 
@@ -76,22 +76,23 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
             s
         };
         let before = total(&q);
-        // Diagnose w from the spun-up flow, then advect several steps.
-        let w = FunctorDiagnoseW {
-            u: m.state.u[c].clone(),
-            v: m.state.v[c].clone(),
-            w: m.state.w.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dz: g.dz.clone(),
-            nz: g.nz,
+        // Diagnose w from the spun-up flow over the owned wet columns,
+        // then advect several steps.
+        let wet_cols = licomkpp::kokkos::ListPolicy::new(g.wet.cols_own.indices.clone());
+        let w = FunctorDiagnoseWList {
+            f: FunctorDiagnoseW {
+                u: m.state.u[c].clone(),
+                v: m.state.v[c].clone(),
+                w: m.state.w.clone(),
+                kmt: g.kmt.clone(),
+                dxt: g.dxt.clone(),
+                dyt: g.dyt,
+                dz: g.dz.clone(),
+                nz: g.nz,
+            },
+            pi: g.pi,
         };
-        licomkpp::kokkos::parallel_for_2d(
-            &m.space,
-            licomkpp::kokkos::MDRangePolicy2::new([g.ny, g.nx]),
-            &w,
-        );
+        licomkpp::kokkos::parallel_for_list(&m.space, &wet_cols, &w);
         let out: licomkpp::kokkos::View3<f64> =
             licomkpp::kokkos::View::host("blob_out", [g.nz, g.pj, g.pi]);
         for _ in 0..5 {
@@ -109,7 +110,7 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
                 &m.state.w,
                 cfg.dt_tracer,
                 true,
-                None,
+                &wet_cols,
                 licomkpp::model::advect::TmpExchange::Blocking(&|tmp| {
                     m.halo3().exchange(tmp, FoldKind::Scalar, 910);
                     Ok(())

@@ -29,6 +29,29 @@ const CHECKSUM_3_RANKS: [u64; 3] = [
     0xec26_4b5f_4ed0_5581,
 ];
 
+/// The wet-fraction bench's "land70" world: a rectangular basin that
+/// leaves 67% of `small_cfg()`'s columns dry on one rank (44–78% per rank
+/// on three).
+fn land70_basin() -> Bathymetry {
+    Bathymetry::Basin {
+        lon0: 72.0,
+        lon1: 288.0,
+        lat0: -45.0,
+        lat1: 45.0,
+        depth: 4000.0,
+    }
+}
+
+/// Golden checksums of the land70 basin after 3 steps of `small_cfg()`,
+/// recorded (x86_64-linux-gnu) when the dense masked launches still
+/// existed and matched the wet-list launches bitwise on all four spaces.
+const CHECKSUM_LAND70_1_RANK: u64 = 0x1550_4b6f_d8d0_5c58;
+const CHECKSUM_LAND70_3_RANKS: [u64; 3] = [
+    0x4b7a_a55c_326c_b088,
+    0x53f4_9831_0a7a_e957,
+    0xe04e_ade2_8ce4_236c,
+];
+
 #[test]
 fn facade_full_pipeline_runs() {
     let cfg = small_cfg();
@@ -125,35 +148,34 @@ fn halo_options_reproduce_recorded_checksums() {
 }
 
 #[test]
-fn active_set_bitwise_identical_to_dense_on_all_backends() {
-    // The acceptance bar for wet-point iteration: skipping land must not
-    // change a single bit. Compare the dense masked reference (Serial)
-    // against the active-set path on every execution space.
-    let cfg = small_cfg();
-    let run = |space: Space, active: bool| {
-        let cfg = cfg.clone();
-        let mut opts = ModelOptions::default();
-        opts.active_set = active;
-        World::run(1, move |comm| {
-            let mut m = Model::new(comm, cfg.clone(), space.clone(), opts.clone());
-            m.run_steps(3);
-            m.checksum()
-        })
-        .pop()
-        .unwrap()
-    };
-    let dense = run(Space::serial(), false);
-    for space in [
-        Space::serial(),
-        Space::threads(),
-        Space::device_sim(),
-        Space::sw_athread_with(licomkpp::sunway::CgConfig::test_small()),
-    ] {
-        let active = run(space.clone(), true);
-        assert_eq!(
-            active, dense,
-            "active-set diverged from dense on {space:?}: {active:x} vs {dense:x}"
-        );
+fn land70_basin_reproduces_recorded_checksums_on_all_backends() {
+    // The hot masked kernels launch only over packed wet-point lists, so
+    // a land-heavy world is where a wrong list would show. The goldens
+    // were recorded while a dense masked launch still existed, with the
+    // dense and wet-list paths equal on every space and rank count.
+    type MakeSpace = fn() -> Space;
+    let spaces: [(&str, MakeSpace); 4] = [
+        ("Serial", Space::serial),
+        ("Threads", Space::threads),
+        ("DeviceSim", Space::device_sim),
+        ("SwAthread", || {
+            Space::sw_athread_with(licomkpp::sunway::CgConfig::test_small())
+        }),
+    ];
+    for (name, mk) in spaces {
+        for (ranks, want) in [
+            (1, &[CHECKSUM_LAND70_1_RANK][..]),
+            (3, &CHECKSUM_LAND70_3_RANKS[..]),
+        ] {
+            let sums = World::run(ranks, move |comm| {
+                let mut opts = ModelOptions::default();
+                opts.bathymetry = land70_basin();
+                let mut m = Model::new(comm, small_cfg(), mk(), opts);
+                m.run_steps(3);
+                m.checksum()
+            });
+            assert_eq!(sums, want, "land70 on {name}, {ranks} rank(s): {sums:x?}");
+        }
     }
 }
 
