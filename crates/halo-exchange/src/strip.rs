@@ -10,8 +10,8 @@
 //!   the field side strides by one horizontal plane per level.
 //!
 //! [`StripCopy`] expresses one run per iteration as a [`Functor1D`] so the
-//! copy dispatches over any kokkos execution space — serial, the rayon
-//! pool, or simulated CPEs (it is registered for the SwAthread backend
+//! copy dispatches over any kokkos execution space — serial, the process
+//! executor, or simulated CPEs (it is registered for the SwAthread backend
 //! like every other kernel) — or runs inline on the caller when the strip
 //! is too small to pay for a launch. Runs are disjoint by construction,
 //! which is exactly the Kokkos concurrent-write contract.

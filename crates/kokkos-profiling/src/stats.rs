@@ -1,7 +1,7 @@
 //! Lock-sharded aggregation tables.
 //!
 //! Hook callbacks arrive concurrently from every rank thread and from
-//! rayon workers, so a single `Mutex<HashMap>` would serialize all of
+//! executor workers, so a single `Mutex<HashMap>` would serialize all of
 //! them. [`StatsTable`] shards the map 16 ways by key hash: two threads
 //! recording different kernels almost never touch the same lock. The
 //! table is generic over the key so the same machinery backs the

@@ -196,7 +196,7 @@ fn hook_ordering_is_strict_on_every_space() {
 /// enclosing region's `pop` — the RAII spans fire from `Drop` during
 /// unwinding, exactly like Kokkos' tool-finalize-on-abort guarantee.
 /// Covered on the two host spaces whose drivers propagate worker panics
-/// to the caller (the rayon shim re-throws on join).
+/// to the caller (the executor re-throws once the launch drains).
 #[test]
 fn end_callbacks_fire_through_panic_unwinding() {
     let _serial = kokkos_profiling::test_registry_lock();

@@ -4,16 +4,15 @@
 //! tiles are executed:
 //!
 //! * `Serial` — tiles in order, one thread;
-//! * `Threads` — tiles on the rayon pool;
-//! * `DeviceSim` — tiles as a block grid on the pool, launch counted;
-//! * `SwAthread` — registry lookup → trampoline → simulated CPEs.
+//! * `Threads` — tiles on the process executor, within the space's share;
+//! * `DeviceSim` — tiles as a block grid on the executor, launch counted;
+//! * `SwAthread` — registry lookup → trampoline → simulated CPEs, whose
+//!   slots run on the executor too.
 //!
 //! **Determinism**: for-loops write disjoint elements, so backend choice
 //! cannot change results. Reductions always produce one partial per tile
 //! and join them in tile order on the launching thread, so their results
 //! are bitwise identical across backends and run-to-run.
-
-use rayon::prelude::*;
 
 use crate::functor::IterCost;
 use crate::functor::{
@@ -41,85 +40,59 @@ fn not_registered<F>(kind: &str) -> ! {
 // Shared host-side tile drivers
 // ---------------------------------------------------------------------------
 //
-// Every non-Sunway backend executes tiles through one of the four helpers
-// below, so scheduling changes (and DeviceSim launch accounting, which used
-// to be repeated per pattern) land in exactly one place. The SwAthread
-// backend never reaches them — its dispatch goes through the registry
-// trampolines in each entry point.
+// Every host backend runs its tiles through the process executor (the
+// `rayon` shim) with the share from `host_share`; Serial is a share-1
+// space, so it sweeps the tiles in order on the caller. The SwAthread
+// backend dispatches through the registry trampolines in each entry point
+// instead, and its core group runs its CPE slots on the same executor.
 
-/// Run `run_tile` over `0..total` tiles on a host backend (count split).
-/// Launch accounting happens at the dispatch chokepoint
-/// ([`profiling::begin_kernel`]), not here.
-fn drive_tiles(space: &Space, total: usize, run_tile: impl Fn(usize) + Sync) {
-    match space {
-        Space::Serial => (0..total).for_each(run_tile),
-        Space::Threads(_) | Space::DeviceSim(_) => (0..total).into_par_iter().for_each(run_tile),
-        Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
-    }
-}
+/// Host launches of fewer iterations run inline on the caller. Handing
+/// a launch to a pool worker costs about 13 µs on a 2-core x86-64 host
+/// (perfbench `kokkos.launch_overhead_us.threads` = 13.2 µs for its
+/// 4096-item empty launch, every one of which went to the pool), and a
+/// light stencil iteration about 4 ns; splitting n iterations over two
+/// cores saves n · 2 ns, which repays the hand-off only past ~6.6k
+/// iterations.
+const INLINE_ITEMS: usize = 8192;
 
-/// Collect one partial per tile, in tile order, on a host backend.
-fn collect_partials(
-    space: &Space,
-    total: usize,
-    tile_partial: impl Fn(usize) -> f64 + Sync,
-) -> Vec<f64> {
-    match space {
-        Space::Serial => (0..total).map(tile_partial).collect(),
-        Space::Threads(_) | Space::DeviceSim(_) => {
-            (0..total).into_par_iter().map(tile_partial).collect()
-        }
-        Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
+/// The share a host launch of `items` iterations runs with: 1 (inline)
+/// below [`INLINE_ITEMS`], else the space's share.
+pub(crate) fn host_share(space: &Space, items: usize) -> usize {
+    if items < INLINE_ITEMS {
+        1
+    } else {
+        space.share()
     }
 }
 
 /// Run `run_tile` over a [`ListPolicy`]'s tiles on a host backend with
-/// **cost-weighted scheduling**: each pool worker takes the contiguous tile
-/// range holding its share of the cumulative tile cost, not a fixed tile
-/// count. Tile contents never depend on the split, so results stay bitwise
-/// identical to the serial sweep.
-fn drive_list_tiles(space: &Space, policy: &ListPolicy, run_tile: impl Fn(usize) + Sync) {
-    let total = policy.total_tiles();
-    let par = |workers: usize| {
-        (0..workers).into_par_iter().for_each(|w| {
-            let (lo, hi) = policy.worker_tile_range(w, workers);
-            for t in lo..hi {
-                run_tile(t);
-            }
-        });
-    };
-    match space {
-        Space::Serial => (0..total).for_each(run_tile),
-        Space::Threads(_) | Space::DeviceSim(_) => par(rayon::current_num_threads()),
-        Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
-    }
+/// **cost-weighted scheduling**: the tiles are cut into `share` contiguous
+/// parts of equal cumulative cost, not equal tile count. Tile contents
+/// never depend on the split, so results stay bitwise identical to the
+/// serial sweep.
+fn drive_list_tiles(share: usize, policy: &ListPolicy, run_tile: impl Fn(usize) + Sync + Copy) {
+    // `run_tile` moves into each part by copy: reached through a
+    // reference, its captures would be reloaded per tile.
+    rayon::for_each(share, share, move |w| {
+        let (lo, hi) = policy.worker_tile_range(w, share);
+        (lo..hi).for_each(run_tile);
+    });
 }
 
-/// Cost-weighted analogue of [`collect_partials`] for list policies. The
-/// per-worker chunks are contiguous and ascending, so flattening them in
-/// worker order reproduces the tile order exactly — the reduction join
-/// stays deterministic under any worker count.
+/// Cost-weighted one-partial-per-tile collection for list policies. The
+/// parts are contiguous and ascending, so flattening them in part order
+/// reproduces the tile order exactly — the reduction join stays
+/// deterministic under any share.
 fn collect_list_partials(
-    space: &Space,
+    share: usize,
     policy: &ListPolicy,
-    tile_partial: impl Fn(usize) -> f64 + Sync,
+    tile_partial: impl Fn(usize) -> f64 + Sync + Copy,
 ) -> Vec<f64> {
-    let total = policy.total_tiles();
-    let par = |workers: usize| -> Vec<f64> {
-        let chunks: Vec<Vec<f64>> = (0..workers)
-            .into_par_iter()
-            .map(|w| {
-                let (lo, hi) = policy.worker_tile_range(w, workers);
-                (lo..hi).map(&tile_partial).collect()
-            })
-            .collect();
-        chunks.into_iter().flatten().collect()
-    };
-    match space {
-        Space::Serial => (0..total).map(tile_partial).collect(),
-        Space::Threads(_) | Space::DeviceSim(_) => par(rayon::current_num_threads()),
-        Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
-    }
+    let parts: Vec<Vec<f64>> = rayon::map_collect(share, share, move |w| {
+        let (lo, hi) = policy.worker_tile_range(w, share);
+        (lo..hi).map(tile_partial).collect()
+    });
+    parts.into_iter().flatten().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -161,12 +134,13 @@ fn sw_retile_3d(sw: &SwSpace, p: MDRangePolicy3, cost: IterCost) -> MDRangePolic
 
 /// 1-D parallel for over `policy` on `space`.
 pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolicy, f: &F) {
+    let items = policy.len();
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelFor,
         std::any::type_name::<F>(),
         PolicyKind::Range,
-        policy.len() as u64,
+        items as u64,
     );
     let total = policy.total_tiles();
     let run_tile = |t: usize| {
@@ -187,22 +161,21 @@ pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolic
                 policy: sw_retile_1d(sw, policy, cost),
                 cost,
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::Payload1D as usize);
+            sw.run(tramp, &payload as *const registry::Payload1D as usize);
         }
-        host => drive_tiles(host, total, run_tile),
+        host => rayon::for_each(host_share(host, items), total, run_tile),
     }
 }
 
 /// 2-D parallel for; index order `(j, i)`.
 pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePolicy2, f: &F) {
+    let items = policy.extent[0] * policy.extent[1];
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelFor,
         std::any::type_name::<F>(),
         PolicyKind::MDRange2,
-        (policy.extent[0] * policy.extent[1]) as u64,
+        items as u64,
     );
     let total = policy.total_tiles();
     let run_tile = |t: usize| {
@@ -225,22 +198,21 @@ pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePol
                 policy: sw_retile_2d(sw, policy, cost),
                 cost,
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::Payload2D as usize);
+            sw.run(tramp, &payload as *const registry::Payload2D as usize);
         }
-        host => drive_tiles(host, total, run_tile),
+        host => rayon::for_each(host_share(host, items), total, run_tile),
     }
 }
 
 /// 3-D parallel for; index order `(k, j, i)`.
 pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePolicy3, f: &F) {
+    let items = policy.extent[0] * policy.extent[1] * policy.extent[2];
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelFor,
         std::any::type_name::<F>(),
         PolicyKind::MDRange3,
-        (policy.extent[0] * policy.extent[1] * policy.extent[2]) as u64,
+        items as u64,
     );
     let total = policy.total_tiles();
     let run_tile = |t: usize| {
@@ -265,11 +237,9 @@ pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePol
                 policy: sw_retile_3d(sw, policy, cost),
                 cost,
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::Payload3D as usize);
+            sw.run(tramp, &payload as *const registry::Payload3D as usize);
         }
-        host => drive_tiles(host, total, run_tile),
+        host => rayon::for_each(host_share(host, items), total, run_tile),
     }
 }
 
@@ -279,12 +249,13 @@ pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePol
 /// the registry to [`registry::tramp_for_list`], whose per-CPE tile ranges
 /// are cost-weighted the same way.
 pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListPolicy, f: &F) {
+    let items = policy.len();
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelFor,
         std::any::type_name::<F>(),
         PolicyKind::List,
-        policy.len() as u64,
+        items as u64,
     );
     let run_tile = |t: usize| {
         let (lo, hi) = policy.tile_range(t);
@@ -303,11 +274,9 @@ pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListP
                 policy: policy as *const ListPolicy,
                 cost: f.cost(),
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadList as usize);
+            sw.run(tramp, &payload as *const registry::PayloadList as usize);
         }
-        host => drive_list_tiles(host, policy, run_tile),
+        host => drive_list_tiles(host_share(host, items), policy, run_tile),
     }
 }
 
@@ -319,12 +288,13 @@ pub fn parallel_reduce_list<F: ReduceFunctorList + 'static>(
     f: &F,
     op: Reducer,
 ) -> f64 {
+    let items = policy.len();
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelReduce,
         std::any::type_name::<F>(),
         PolicyKind::List,
-        policy.len() as u64,
+        items as u64,
     );
     let tile_partial = |t: usize| {
         let (lo, hi) = policy.tile_range(t);
@@ -349,13 +319,13 @@ pub fn parallel_reduce_list<F: ReduceFunctorList + 'static>(
                 partials: partials.as_mut_ptr(),
                 identity: op.identity(),
             };
-            sw.cg.lock().run(
+            sw.run(
                 tramp,
                 &payload as *const registry::PayloadReduceList as usize,
             );
             partials
         }
-        host => collect_list_partials(host, policy, tile_partial),
+        host => collect_list_partials(host_share(host, items), policy, tile_partial),
     };
     join_partials(&partials, op)
 }
@@ -375,12 +345,13 @@ pub fn parallel_reduce_1d<F: ReduceFunctor1D + 'static>(
     f: &F,
     op: Reducer,
 ) -> f64 {
+    let items = policy.len();
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelReduce,
         std::any::type_name::<F>(),
         PolicyKind::Range,
-        policy.len() as u64,
+        items as u64,
     );
     let total = policy.total_tiles();
     let tile_partial = |t: usize| {
@@ -405,12 +376,10 @@ pub fn parallel_reduce_1d<F: ReduceFunctor1D + 'static>(
                 partials: partials.as_mut_ptr(),
                 identity: op.identity(),
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadReduce1D as usize);
+            sw.run(tramp, &payload as *const registry::PayloadReduce1D as usize);
             partials
         }
-        host => collect_partials(host, total, tile_partial),
+        host => rayon::map_collect(host_share(host, items), total, tile_partial),
     };
     join_partials(&partials, op)
 }
@@ -422,12 +391,13 @@ pub fn parallel_reduce_2d<F: ReduceFunctor2D + 'static>(
     f: &F,
     op: Reducer,
 ) -> f64 {
+    let items = policy.extent[0] * policy.extent[1];
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelReduce,
         std::any::type_name::<F>(),
         PolicyKind::MDRange2,
-        (policy.extent[0] * policy.extent[1]) as u64,
+        items as u64,
     );
     let total = policy.total_tiles();
     let tile_partial = |t: usize| {
@@ -454,12 +424,10 @@ pub fn parallel_reduce_2d<F: ReduceFunctor2D + 'static>(
                 partials: partials.as_mut_ptr(),
                 identity: op.identity(),
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadReduce2D as usize);
+            sw.run(tramp, &payload as *const registry::PayloadReduce2D as usize);
             partials
         }
-        host => collect_partials(host, total, tile_partial),
+        host => rayon::map_collect(host_share(host, items), total, tile_partial),
     };
     join_partials(&partials, op)
 }
@@ -471,12 +439,13 @@ pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
     f: &F,
     op: Reducer,
 ) -> f64 {
+    let items = policy.extent[0] * policy.extent[1] * policy.extent[2];
     let _span = profiling::begin_kernel(
         space,
         PatternKind::ParallelReduce,
         std::any::type_name::<F>(),
         PolicyKind::MDRange3,
-        (policy.extent[0] * policy.extent[1] * policy.extent[2]) as u64,
+        items as u64,
     );
     let total = policy.total_tiles();
     let tile_partial = |t: usize| {
@@ -505,12 +474,10 @@ pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
                 partials: partials.as_mut_ptr(),
                 identity: op.identity(),
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadReduce3D as usize);
+            sw.run(tramp, &payload as *const registry::PayloadReduce3D as usize);
             partials
         }
-        host => collect_partials(host, total, tile_partial),
+        host => rayon::map_collect(host_share(host, items), total, tile_partial),
     };
     join_partials(&partials, op)
 }
@@ -726,6 +693,76 @@ mod tests {
             bits.iter().all(|&b| b == bits[0]),
             "reduction differed across backends: {bits:?}"
         );
+    }
+
+    /// Everything the for, list and reduce patterns produce on `space`
+    /// for one fixed input, as bits.
+    fn pattern_bits(space: &Space, n: usize) -> Vec<u64> {
+        let x: View1<f64> = View::host("x", [n]);
+        let y: View1<f64> = View::host("y", [n]);
+        for i in 0..n {
+            x.set_at(i, ((i % 97) as f64 + 0.1) * 10f64.powi((i % 7) as i32 - 3));
+            y.set_at(i, (i as f64).cos());
+        }
+        let axpy = FunctorAxpy {
+            a: 0.31,
+            x: x.clone(),
+            y: y.clone(),
+        };
+        parallel_for_1d(space, RangePolicy::new(n).with_tile(64), &axpy);
+        let dst: View1<f64> = View::host("dst", [n]);
+        let policy = skewed_list_policy(n);
+        let scatter = ListScatter {
+            src: x.clone(),
+            dst: dst.clone(),
+        };
+        parallel_for_list(space, &policy, &scatter);
+        let sum = parallel_reduce_1d(
+            space,
+            RangePolicy::new(n).with_tile(128),
+            &SumSq { x: x.clone() },
+            Reducer::Sum,
+        );
+        let list_sum = parallel_reduce_list(space, &policy, &ListSum { src: x }, Reducer::Sum);
+        let mut bits: Vec<u64> = y.to_vec().iter().map(|v| v.to_bits()).collect();
+        bits.extend(dst.to_vec().iter().map(|v| v.to_bits()));
+        bits.extend([sum.to_bits(), list_sum.to_bits()]);
+        bits
+    }
+
+    #[test]
+    fn for_list_and_reduce_are_bitwise_equal_under_shares_one_to_three() {
+        my_axpy();
+        list_scatter();
+        list_sum();
+        sum_sq();
+        // Large enough that host launches go to the executor.
+        let n = 3 * INLINE_ITEMS + 17;
+        let reference = pattern_bits(&Space::serial(), n);
+        for share in 1..=3 {
+            for space in [Space::threads(), Space::device_sim()] {
+                let space = space.with_share(share);
+                assert_eq!(
+                    pattern_bits(&space, n),
+                    reference,
+                    "{} with share {share} diverged from Serial",
+                    space.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn partitioning_caps_the_share_and_is_idempotent() {
+        let cores = rayon::cores();
+        let s = Space::threads();
+        assert_eq!(s.share(), cores);
+        let half = s.partitioned(2);
+        assert_eq!(half.share(), (cores / 2).max(1));
+        assert_eq!(half.clone().partitioned(2).share(), half.share());
+        assert_eq!(half.partitioned(1).share(), (cores / 2).max(1));
+        assert_eq!(Space::serial().partitioned(1).share(), 1);
+        assert_eq!(Space::device_sim().partitioned(4 * cores).share(), 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * [`Space::Serial`] — reference loop; baseline for bitwise comparisons
 //!   (plays the role of the original Fortran code path).
-//! * [`Space::Threads`] — rayon work-stealing pool; the OpenMP analogue
-//!   used on the ARM Taishan server.
+//! * [`Space::Threads`] — tiles on the process executor (the `rayon`
+//!   shim); the OpenMP analogue used on the ARM Taishan server.
 //! * [`Space::DeviceSim`] — a CUDA/HIP-like device: kernels execute as a
 //!   grid of tile-blocks, launches are counted and carry a fixed overhead,
 //!   and data is expected to live in [`MemSpace::Device`] views that must
@@ -17,18 +17,27 @@
 //!
 //! A `Space` is chosen at runtime (`Space::from_name`), so the *same model
 //! binary* runs on every backend — the heart of the portability claim.
+//!
+//! Every parallel space carries a **core share**: how many of the
+//! process's cores one launch on it may use, the launching thread
+//! included. A new space may use all of them; [`Space::partitioned`] caps
+//! the share at one equal part of the host, which is how `licom::Model`
+//! gives each rank of a world its own cores and licom-server each of its
+//! workers (ranks × share ≤ cores, as with MPI + OpenMP pinning).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sunway_sim::{CgConfig, CgCounters, CoreGroup};
+use sunway_sim::{CgConfig, CgCounters, CoreGroup, CpeKernel};
 
 use crate::memspace::MemSpace;
 
-/// Marker/config for the rayon-backed host-parallel space.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadsSpace;
+/// The host-parallel space: tiles on the process executor.
+#[derive(Clone, Debug)]
+pub struct ThreadsSpace {
+    share: usize,
+}
 
 /// Simulated discrete accelerator.
 #[derive(Clone)]
@@ -36,6 +45,7 @@ pub struct DeviceSpace {
     /// Threads per block — metadata mirroring CUDA launch geometry.
     pub threads_per_block: usize,
     launches: Arc<AtomicU64>,
+    share: usize,
 }
 
 impl DeviceSpace {
@@ -43,6 +53,7 @@ impl DeviceSpace {
         Self {
             threads_per_block: 256,
             launches: Arc::new(AtomicU64::new(0)),
+            share: rayon::cores(),
         }
     }
 
@@ -69,6 +80,7 @@ pub struct SwSpace {
     /// Immutable copy of the CG's hardware description, kept outside the
     /// mutex so per-launch tile sizing doesn't take the lock.
     cfg: CgConfig,
+    share: usize,
 }
 
 impl SwSpace {
@@ -76,7 +88,18 @@ impl SwSpace {
         Self {
             cg: Arc::new(Mutex::new(CoreGroup::new(cfg.clone()))),
             cfg,
+            share: rayon::cores(),
         }
+    }
+
+    /// Launch `kernel` on the core group, its CPE slots spread over the
+    /// executor threads this space's share allows.
+    pub(crate) fn run(&self, kernel: CpeKernel, arg: usize) {
+        self.cg
+            .lock()
+            .run_with(kernel, arg, self.share, &|slots, body| {
+                rayon::for_each(slots, slots, body)
+            });
     }
 
     /// The core group's hardware configuration (for cost-model-driven
@@ -116,9 +139,11 @@ impl Space {
         Space::Serial
     }
 
-    /// Host-parallel space on the global rayon pool.
+    /// Host-parallel space on the process executor.
     pub fn threads() -> Self {
-        Space::Threads(ThreadsSpace)
+        Space::Threads(ThreadsSpace {
+            share: rayon::cores(),
+        })
     }
 
     /// Simulated GPU device.
@@ -155,6 +180,45 @@ impl Space {
             Space::Threads(_) => "Threads",
             Space::DeviceSim(_) => "DeviceSim",
             Space::SwAthread(_) => "SwAthread",
+        }
+    }
+
+    /// Cores one launch on this space may use, the caller included.
+    pub fn share(&self) -> usize {
+        match self {
+            Space::Serial => 1,
+            Space::Threads(ThreadsSpace { share })
+            | Space::DeviceSim(DeviceSpace { share, .. })
+            | Space::SwAthread(SwSpace { share, .. }) => *share,
+        }
+    }
+
+    /// This space with its share capped at one of `parts` equal parts of
+    /// the host: `max(1, cores / parts)`. Only ever lowers the share, so
+    /// partitioning twice by the same count changes nothing.
+    pub fn partitioned(mut self, parts: usize) -> Self {
+        let cap = (rayon::cores() / parts.max(1)).max(1);
+        if let Some(share) = self.share_mut() {
+            *share = (*share).min(cap);
+        }
+        self
+    }
+
+    /// Tests pin an exact share, above or below the host's core count.
+    #[cfg(test)]
+    pub(crate) fn with_share(mut self, share: usize) -> Self {
+        if let Some(s) = self.share_mut() {
+            *s = share;
+        }
+        self
+    }
+
+    fn share_mut(&mut self) -> Option<&mut usize> {
+        match self {
+            Space::Serial => None,
+            Space::Threads(ThreadsSpace { share })
+            | Space::DeviceSim(DeviceSpace { share, .. })
+            | Space::SwAthread(SwSpace { share, .. }) => Some(share),
         }
     }
 

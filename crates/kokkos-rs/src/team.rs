@@ -106,8 +106,10 @@ pub fn parallel_for_team<F: FunctorTeam + 'static>(space: &Space, policy: TeamPo
             }
         }
         Space::Threads(_) | Space::DeviceSim(_) => {
-            use rayon::prelude::*;
-            (0..policy.league_size).into_par_iter().for_each(|league| {
+            // A league member sweeps about its scratch length of items.
+            let items = policy.league_size * policy.scratch_len.max(1);
+            let share = crate::parallel::host_share(space, items);
+            rayon::for_each(share, policy.league_size, |league| {
                 let mut scratch = vec![0.0f64; policy.scratch_len];
                 f.operator(league, &mut scratch);
             });
@@ -127,9 +129,7 @@ pub fn parallel_for_team<F: FunctorTeam + 'static>(space: &Space, policy: TeamPo
                 policy,
                 cost: f.cost(),
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const PayloadTeam as usize);
+            sw.run(tramp, &payload as *const PayloadTeam as usize);
         }
     }
 }

@@ -6,12 +6,12 @@
 //! Workers are plain OS threads contending on one mutex-protected
 //! scheduler. A worker claims up to `batch_size` jobs (stride order),
 //! releases the lock, and steps each claimed instance for a slice of
-//! `slice_steps` model steps. All instances dispatch their kernels into
-//! the **shared** execution-space pools (`Threads`/`DeviceSim`/
-//! `SwAthread` all back onto the one rayon pool), so concurrency across
-//! instances comes from workers slicing in parallel while each slice's
-//! inner parallelism shares the pool — the multi-tenant analogue of the
-//! paper's many-instances-per-node ensemble configuration.
+//! `slice_steps` model steps. Every job's execution space is capped at
+//! one worker's part of the host's cores (`max(1, cores / workers)`), so
+//! the kernels a slice launches on `Threads`/`DeviceSim`/`SwAthread` draw
+//! on the process executor without oversubscribing the cores the other
+//! workers use — the multi-tenant analogue of the paper's
+//! many-instances-per-node ensemble configuration.
 //!
 //! ## Isolation
 //!
@@ -20,7 +20,7 @@
 //! [`InstanceKey`](kokkos_rs::profiling::InstanceKey) — the only shared
 //! mutable state is the scheduler and the (atomic) metrics. The
 //! isolation tests assert the strong version of this: N instances
-//! interleaved on a shared pool finish bitwise identical to the same
+//! interleaved on the shared executor finish bitwise identical to the same
 //! specs run sequentially.
 
 use std::collections::HashMap;
@@ -40,7 +40,8 @@ use crate::scheduler::Scheduler;
 /// Engine knobs. Defaults serve hundreds of tiny instances on a laptop.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker threads stepping instances (outer concurrency).
+    /// Worker threads stepping instances (outer concurrency); each job's
+    /// execution space gets `max(1, cores / workers)` cores.
     pub workers: usize,
     /// Model steps per scheduling slice. Larger amortizes scheduling;
     /// smaller tightens fairness granularity and cancel latency.
@@ -137,8 +138,9 @@ impl Server {
     }
 
     /// Admit a job or refuse with a backpressure signal. Never blocks.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
+    pub fn submit(&self, mut spec: JobSpec) -> Result<JobHandle, SubmitError> {
         let shared = &self.shared;
+        spec.space = spec.space.partitioned(shared.cfg.workers.max(1));
         let mut st = shared.state.lock();
         if st.draining {
             return Err(SubmitError::ShuttingDown);

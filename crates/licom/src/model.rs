@@ -356,6 +356,9 @@ impl Model {
     /// call it with identical arguments.
     pub fn new(comm: &Comm, cfg: ModelConfig, space: Space, opts: ModelOptions) -> Self {
         crate::register_all_kernels();
+        // Each rank gets its own part of the host's cores, as MPI + OpenMP
+        // pinning would give it.
+        let space = space.partitioned(comm.size());
         // Rank threads tag themselves so an attached profiler lands this
         // rank's kernel spans and regions on its own chrome-trace track.
         kokkos_profiling::set_thread_rank(comm.rank() as i64);

@@ -131,6 +131,10 @@ pub(crate) struct WorldShared {
     /// through the message path) plus the ring registry post-mortem
     /// dumps snapshot.
     pub(crate) flight: crate::flight::FlightWorld,
+    /// Whether a receive spins briefly before parking: only when there
+    /// is a peer to wait for and every rank can have a core of its own
+    /// (see `take_message_for`).
+    spin: bool,
 }
 
 impl WorldShared {
@@ -591,24 +595,16 @@ impl Comm {
         tag: u64,
         timeout: Duration,
     ) -> Result<Message, CommError> {
-        fn spare_cores() -> bool {
-            static SPARE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            *SPARE.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get() > 1)
-                    .unwrap_or(false)
-            })
-        }
         let mb = &self.shared.mailboxes[self.world_rank];
         let start = Instant::now();
         let deadline = start + timeout;
         // Halo strips at step granularity arrive within microseconds of the
         // first miss; a condvar sleep/wakeup costs far more than that, so
-        // spin briefly before parking — but only when spare cores exist.
-        // On a single hardware thread the spin *starves the sender* (it
-        // can only post the message once the scheduler preempts us), so
-        // there the condvar park is strictly better.
-        let spin_until = if spare_cores() {
+        // spin briefly before parking — but only when the world's ranks
+        // fit the cores. With more ranks than cores the spin *starves the
+        // sender* (it can only post the message once the scheduler
+        // preempts us), so there the condvar park is strictly better.
+        let spin_until = if self.shared.spin {
             start + Duration::from_micros(50)
         } else {
             start
@@ -1004,6 +1000,7 @@ impl World {
             spares: cfg.spares,
             recv_timeout: cfg.recv_timeout,
             flight: FlightWorld::new(n),
+            spin: n > 1 && n <= std::thread::available_parallelism().map_or(1, |p| p.get()),
         })
     }
 

@@ -17,18 +17,20 @@
 //!
 //! Simulated cycles are deterministic regardless of how the logical CPEs
 //! are multiplexed onto OS threads, so the host scheduling is free to chase
-//! wall-clock. The MPE (launching thread) always executes its own share of
-//! the CPEs inline during `join()`, exactly like `athread_join` spinning on
-//! the CPE mailboxes; only `min(host_workers, available_parallelism) − 1`
-//! helper threads are spawned. On a single-core host that degenerates to a
-//! fully inline loop with zero channel traffic or context switches per
-//! launch — the difference between a kernel launch costing microseconds
-//! and costing scheduler round-trips. Per-CPE LDM allocators and the
-//! counters buffer persist across launches, so the steady state allocates
-//! nothing.
+//! wall-clock. A core group owns no threads: a launch spreads its CPEs
+//! over `min(host_workers, num_cpes, share)` *slots* and hands them to a
+//! [`SlotRunner`] the caller supplies — kokkos-rs passes one backed by the
+//! process executor, sized by the launching space's core share, so the
+//! simulated CPEs draw on the same core budget as every other launch. With
+//! one slot the whole launch runs inline on the launching (MPE) thread,
+//! like `athread_join` spinning on the CPE mailboxes. Per-CPE LDM
+//! allocators and the counters buffer are indexed by CPE id and persist
+//! across launches, so the slot count may change from launch to launch
+//! and the steady state allocates nothing.
 
-use std::sync::mpsc;
-use std::thread::JoinHandle;
+use std::panic::{self, AssertUnwindSafe};
+
+use parking_lot::Mutex;
 
 use crate::config::CgConfig;
 use crate::counters::{CgCounters, CpeCounters};
@@ -264,17 +266,9 @@ impl CpeCtx {
     }
 }
 
-enum WorkerMsg {
-    Launch { kernel: CpeKernel, arg: usize },
-    Shutdown,
-}
-
-struct Worker {
-    tx: mpsc::Sender<WorkerMsg>,
-    handle: Option<JoinHandle<()>>,
-}
-
-type KernelResult = Result<Vec<(usize, CpeCounters)>, String>;
+/// Runs `body(slot)` once for every slot in `0..slots` and returns when
+/// all have returned; a runner with threads to spare runs them at once.
+pub type SlotRunner<'a> = &'a dyn Fn(usize, &(dyn Fn(usize) + Sync));
 
 fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     e.downcast_ref::<String>()
@@ -283,9 +277,8 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "CPE kernel panicked".into())
 }
 
-/// Execute `kernel` on one logical CPE backed by a persistent allocator,
-/// returning its counters. Shared by the MPE inline path and the helper
-/// worker threads so accounting is identical regardless of placement.
+/// Execute `kernel` on one logical CPE backed by its persistent allocator,
+/// returning its counters. Accounting is identical whichever slot runs it.
 fn run_cpe(
     cpe: usize,
     cfg: &CgConfig,
@@ -302,98 +295,32 @@ fn run_cpe(
     ctx.counters
 }
 
-/// A simulated core group: the MPE thread plus a persistent pool of helper
-/// threads executing the logical CPEs, with aggregated performance counters.
+/// A simulated core group: the logical CPEs with their LDM, and the
+/// aggregated performance counters.
 ///
-/// Mirrors the Athread lifecycle:
-/// `athread_init` → [`CoreGroup::new`], `athread_spawn` → [`CoreGroup::spawn`],
-/// `athread_join` → [`CoreGroup::join`], `athread_halt` → `Drop`.
+/// Mirrors the Athread lifecycle: `athread_init` → [`CoreGroup::new`],
+/// `athread_spawn` + `athread_join` → [`CoreGroup::run_with`] (or
+/// [`CoreGroup::run`] on the launching thread alone).
 pub struct CoreGroup {
     cfg: CgConfig,
-    /// Execution slots including the MPE (slot 0). CPE `c` runs on slot
-    /// `c % slots`; helper `workers[i]` owns slot `i + 1`.
-    slots: usize,
-    workers: Vec<Worker>,
-    results_rx: mpsc::Receiver<KernelResult>,
-    /// The MPE's share of an outstanding launch, executed in `join()`.
-    pending: Option<(CpeKernel, usize)>,
     counters: CgCounters,
-    /// Per-launch scratch, reused so the steady state allocates nothing.
-    per_cpe: Vec<CpeCounters>,
-    /// Persistent LDM allocators for the MPE-slot CPEs (`c % slots == 0`).
-    mpe_ldm: Vec<LdmAllocator>,
+    /// Persistent LDM allocator of each CPE, indexed by CPE id.
+    ldm: Vec<LdmAllocator>,
+    /// Counters of the current launch, indexed by CPE id; reused so the
+    /// steady state allocates nothing.
+    per_cpe: Mutex<Vec<CpeCounters>>,
 }
 
 impl CoreGroup {
-    /// Boot a core group. `cfg.host_workers` is an upper bound on host
-    /// threads; the effective count is additionally capped by the machine's
-    /// available parallelism, and the launching (MPE) thread always serves
-    /// as one of the slots, so only `slots − 1` helper threads are spawned.
+    /// Boot a core group.
     pub fn new(cfg: CgConfig) -> Self {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let slots = cfg.host_workers.clamp(1, cfg.num_cpes).min(avail).max(1);
-        let (results_tx, results_rx) = mpsc::channel::<KernelResult>();
-        let mut workers = Vec::with_capacity(slots - 1);
-        for slot in 1..slots {
-            let (tx, rx) = mpsc::channel::<WorkerMsg>();
-            let results_tx = results_tx.clone();
-            let cfg = cfg.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("cpe-worker-{slot}"))
-                .spawn(move || {
-                    let my_cpes: Vec<usize> =
-                        (0..cfg.num_cpes).filter(|c| c % slots == slot).collect();
-                    let pools: Vec<LdmAllocator> = my_cpes
-                        .iter()
-                        .map(|_| LdmAllocator::new(cfg.ldm_bytes))
-                        .collect();
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            WorkerMsg::Launch { kernel, arg } => {
-                                // Kernel panics (e.g. LDM overflow) are
-                                // caught and re-raised on the joining MPE
-                                // thread, like a device abort surfacing
-                                // at synchronization.
-                                let run =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        my_cpes
-                                            .iter()
-                                            .zip(&pools)
-                                            .map(|(&cpe, ldm)| {
-                                                (cpe, run_cpe(cpe, &cfg, ldm, kernel, arg))
-                                            })
-                                            .collect::<Vec<_>>()
-                                    }));
-                                // Receiver only disappears if the CG was
-                                // dropped mid-kernel; nothing to do then.
-                                let _ = results_tx.send(run.map_err(panic_message));
-                            }
-                            WorkerMsg::Shutdown => break,
-                        }
-                    }
-                })
-                .expect("failed to spawn CPE worker thread");
-            workers.push(Worker {
-                tx,
-                handle: Some(handle),
-            });
-        }
-        let mpe_cpes = (0..cfg.num_cpes).filter(|c| c % slots == 0).count();
-        let mpe_ldm = (0..mpe_cpes)
-            .map(|_| LdmAllocator::new(cfg.ldm_bytes))
-            .collect();
-        let per_cpe = vec![CpeCounters::default(); cfg.num_cpes];
         Self {
-            cfg,
-            slots,
-            workers,
-            results_rx,
-            pending: None,
+            ldm: (0..cfg.num_cpes)
+                .map(|_| LdmAllocator::new(cfg.ldm_bytes))
+                .collect(),
+            per_cpe: Mutex::new(vec![CpeCounters::default(); cfg.num_cpes]),
             counters: CgCounters::default(),
-            per_cpe,
-            mpe_ldm,
+            cfg,
         }
     }
 
@@ -402,81 +329,46 @@ impl CoreGroup {
         &self.cfg
     }
 
-    /// `athread_spawn`: launch `kernel` on every logical CPE.
-    ///
-    /// `arg` is the single pointer-sized opaque argument the real API
-    /// allows. Only one kernel may be outstanding, as on hardware.
-    /// Helper threads start immediately; the MPE's own share runs when the
-    /// launching thread blocks in [`Self::join`].
-    ///
-    /// # Panics
-    /// If a previous launch has not been joined.
-    pub fn spawn(&mut self, kernel: CpeKernel, arg: usize) {
-        assert!(
-            self.pending.is_none(),
-            "athread_spawn while a kernel is outstanding; call join() first"
-        );
-        self.pending = Some((kernel, arg));
-        for w in &self.workers {
-            w.tx.send(WorkerMsg::Launch { kernel, arg })
-                .expect("CPE worker thread died");
-        }
+    /// Launch `kernel` on every logical CPE, all on the calling thread.
+    pub fn run(&mut self, kernel: CpeKernel, arg: usize) {
+        self.run_with(kernel, arg, 1, &|_, body| body(0));
     }
 
-    /// `athread_join`: execute the MPE's share of the outstanding kernel,
-    /// wait for the helper threads, and fold all counters into the CG
-    /// aggregate.
+    /// Launch `kernel` on every logical CPE and wait for it (`athread_spawn`
+    /// then `athread_join`); `arg` is the single pointer-sized opaque
+    /// argument the real API allows. The CPEs are dealt round-robin onto
+    /// `min(host_workers, num_cpes, share)` slots, which `runner` executes.
+    /// Counters fold into the CG aggregate.
     ///
     /// # Panics
-    /// If no kernel is outstanding, or if the kernel panicked on any CPE.
-    pub fn join(&mut self) {
-        let (kernel, arg) = self
-            .pending
-            .take()
-            .expect("athread_join without a pending kernel");
-        for c in self.per_cpe.iter_mut() {
-            *c = CpeCounters::default();
-        }
-        let mut failure: Option<String> = None;
-        // MPE share: CPEs c with c % slots == 0, inline on this thread.
-        // One unwind guard covers the whole share; a panic (e.g. LDM
-        // overflow) abandons the remaining CPEs and surfaces below.
-        let slots = self.slots;
-        let cfg = &self.cfg;
-        let mpe_ldm = &self.mpe_ldm;
-        let per_cpe = &mut self.per_cpe;
-        if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (i, ldm) in mpe_ldm.iter().enumerate() {
-                let cpe = i * slots;
-                per_cpe[cpe] = run_cpe(cpe, cfg, ldm, kernel, arg);
-            }
-        })) {
-            failure = Some(panic_message(e));
-        }
-        for _ in 0..self.workers.len() {
-            let chunk = self
-                .results_rx
-                .recv()
-                .expect("CPE worker thread died before reporting");
-            match chunk {
-                Ok(list) => {
-                    for (cpe, counters) in list {
-                        self.per_cpe[cpe] = counters;
-                    }
+    /// If the kernel panicked on any CPE.
+    pub fn run_with(&mut self, kernel: CpeKernel, arg: usize, share: usize, runner: SlotRunner) {
+        let slots = self
+            .cfg
+            .host_workers
+            .min(self.cfg.num_cpes)
+            .min(share)
+            .max(1);
+        let failure: Mutex<Option<String>> = Mutex::new(None);
+        let (cfg, ldm, per_cpe) = (&self.cfg, &self.ldm, &self.per_cpe);
+        runner(slots, &|slot| {
+            // One unwind guard per slot: a panic (e.g. LDM overflow)
+            // abandons the slot's remaining CPEs and surfaces below, like a
+            // device abort surfacing at synchronization.
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                for cpe in (slot..cfg.num_cpes).step_by(slots) {
+                    let counters = run_cpe(cpe, cfg, &ldm[cpe], kernel, arg);
+                    per_cpe.lock()[cpe] = counters;
                 }
-                Err(e) => failure = Some(e),
+            }));
+            if let Err(e) = run {
+                *failure.lock() = Some(panic_message(e));
             }
-        }
-        if let Some(e) = failure {
+        });
+        if let Some(e) = failure.into_inner() {
             panic!("CPE kernel failed: {e}");
         }
-        self.counters.record_kernel(&self.per_cpe);
-    }
-
-    /// Convenience: `spawn` + `join`.
-    pub fn run(&mut self, kernel: CpeKernel, arg: usize) {
-        self.spawn(kernel, arg);
-        self.join();
+        self.counters.record_kernel(self.per_cpe.get_mut());
     }
 
     /// Aggregated counters over all kernels launched so far.
@@ -487,19 +379,6 @@ impl CoreGroup {
     /// Reset aggregated counters (e.g. after warm-up).
     pub fn reset_counters(&mut self) {
         self.counters = CgCounters::default();
-    }
-}
-
-impl Drop for CoreGroup {
-    fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.tx.send(WorkerMsg::Shutdown);
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -680,23 +559,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "athread_spawn while a kernel is outstanding")]
-    fn double_spawn_panics() {
-        let mut cg = CoreGroup::new(CgConfig::test_small());
-        fn nop(_: &mut CpeCtx, _: usize) {}
-        cg.spawn(nop, 0);
-        cg.spawn(nop, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "CPE kernel failed")]
-    fn kernel_panic_surfaces_at_join() {
+    fn kernel_panic_surfaces_at_the_launch() {
         let mut cg = CoreGroup::new(CgConfig::test_small());
         fn bad(ctx: &mut CpeCtx, _: usize) {
             // Overflow the 16 kB test LDM on every CPE.
             let _ = ctx.ldm().alloc::<u8>(1 << 20).unwrap();
         }
         cg.run(bad, 0);
+    }
+
+    #[test]
+    fn slot_count_changes_neither_results_nor_counters() {
+        // A runner that gives every slot its own scoped thread.
+        fn threaded(slots: usize, body: &(dyn Fn(usize) + Sync)) {
+            std::thread::scope(|s| {
+                for slot in 0..slots {
+                    s.spawn(move || body(slot));
+                }
+            });
+        }
+        let cfg = CgConfig::test_small();
+        let mut inline = CoreGroup::new(cfg.clone());
+        let mut want: Vec<f64> = (0..1000).map(|i| i as f64).collect();
+        inline.run(dma_roundtrip_kernel, &mut want as *mut _ as usize);
+        let mut cg = CoreGroup::new(cfg);
+        for share in [2, 3, 64] {
+            let mut data: Vec<f64> = (0..1000).map(|i| i as f64).collect();
+            let before = cg.counters().clone();
+            cg.run_with(
+                dma_roundtrip_kernel,
+                &mut data as *mut _ as usize,
+                share,
+                &threaded,
+            );
+            assert_eq!(data, want, "share {share}");
+            let window = cg.counters().delta(&before);
+            assert_eq!(window.kernel_cycles, inline.counters().kernel_cycles);
+            assert_eq!(
+                window.totals.dma_get_bytes,
+                inline.counters().totals.dma_get_bytes
+            );
+        }
     }
 
     #[test]

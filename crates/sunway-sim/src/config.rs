@@ -28,17 +28,15 @@ pub struct CgConfig {
     pub dma_latency_cycles: u64,
     /// SIMD width in `f64` lanes (512-bit vectors → 8 lanes).
     pub simd_f64_lanes: usize,
-    /// Number of OS worker threads used to execute the 64 logical CPEs.
-    /// Defaults to `min(num_cpes, available_parallelism)`. Results are
+    /// Upper bound on the host slots one launch deals its logical CPEs
+    /// onto; the launch's core share and `num_cpes` bound it further (see
+    /// [`crate::CoreGroup::run_with`]). Results and simulated counters are
     /// independent of this value; only host wall-clock changes.
     pub host_workers: usize,
 }
 
 impl Default for CgConfig {
     fn default() -> Self {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
         Self {
             num_cpes: CPES_PER_CG,
             ldm_bytes: LDM_BYTES,
@@ -46,7 +44,7 @@ impl Default for CgConfig {
             mem_bandwidth_bps: 51.2e9,
             dma_latency_cycles: 2048,
             simd_f64_lanes: 8,
-            host_workers: CPES_PER_CG.min(avail),
+            host_workers: CPES_PER_CG,
         }
     }
 }

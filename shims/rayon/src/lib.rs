@@ -1,286 +1,313 @@
-//! Offline stand-in for the `rayon` crate.
+//! The process executor. The package keeps the `rayon` name it was
+//! vendored under (the build cannot reach a registry), but it no longer
+//! mirrors rayon's API: every host-parallel launch in the process — the
+//! kokkos-rs `Threads` and `DeviceSim` spaces and the simulated Sunway
+//! core groups — runs through [`for_each`] and [`map_collect`].
 //!
-//! The build environment cannot reach a cargo registry, so this shim vendors
-//! the exact parallel-iterator subset the workspace uses:
+//! **One core budget.** The process owns C = [`cores`] cores
+//! (`available_parallelism`, which honours `taskset` and cgroup CPU
+//! limits). One pool keeps at most C − 1 persistent workers, spawned on
+//! first demand. A launch carries a *share*: the cores its caller may use,
+//! itself included. Callers size shares so that they add up to C — one
+//! per rank of an `mpi-sim` world, one per server worker — the way MPI +
+//! OpenMP pins each rank's threads to its own cores.
 //!
-//! * `(a..b).into_par_iter().for_each(|i| ...)`
-//! * `(a..b).into_par_iter().map(|i| ...).collect::<Vec<T>>()` (index order
-//!   preserved, like rayon's indexed collect)
+//! **A launch claims, it does not broadcast.** There is no submit lock
+//! and no wake-all: a launch claims up to `share − 1` idle workers with
+//! one compare-and-swap on the idle mask, hands each a pointer to the job
+//! on its own stack, and unparks only those. The caller works too; chunks
+//! are taken from an atomic counter. A launch that claims none — share 1,
+//! a single item, or every worker busy with other callers' launches — runs
+//! as a plain loop on the caller.
 //!
-//! Execution runs on a **persistent worker pool** (started lazily, sized from
-//! `RAYON_NUM_THREADS` or `available_parallelism`), not on per-call spawned
-//! threads — kernel launches in `kokkos-rs` happen thousands of times per
-//! model step, so launch overhead must be a broadcast wake-up, not a clone+
-//! spawn. Work is distributed by an atomic chunk counter (work stealing in
-//! its simplest form). Panics inside a parallel region are caught on the
-//! worker, the region is drained, and the panic is re-thrown on the caller —
-//! the same observable behavior as rayon.
-//!
-//! Only `Range<usize>` is parallelizable here; that is the only shape the
-//! workspace uses.
+//! A panic inside a chunk is caught where it happens, the rest of the
+//! range is drained, and the panic is re-thrown on the caller once every
+//! claimed worker has let go of the job; the workers stay usable.
 
 use std::any::Any;
-use std::ops::Range;
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::{self, Thread};
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
-pub mod prelude {
-    pub use crate::IntoParallelIterator;
+/// The idle set is one `u64` mask, so the pool stops at 64 workers.
+const MAX_WORKERS: usize = 64;
+
+/// Cores the process may use (`available_parallelism`, read once).
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Number of threads the pool runs (workers + the calling thread).
-pub fn current_num_threads() -> usize {
-    pool().workers + 1
+/// Workers spawned since the process started; never more than
+/// `cores() − 1`.
+pub fn spawned_workers() -> usize {
+    pool().spawned.load(Ordering::Relaxed)
 }
 
-pub trait IntoParallelIterator {
-    type Iter;
-    fn into_par_iter(self) -> Self::Iter;
+thread_local! {
+    static CLAIMED: Cell<u64> = const { Cell::new(0) };
 }
 
-impl IntoParallelIterator for Range<usize> {
-    type Iter = ParRange;
-    fn into_par_iter(self) -> ParRange {
-        ParRange { range: self }
+/// Workers claimed by the launches this thread has issued.
+pub fn claimed_by_this_thread() -> u64 {
+    CLAIMED.with(Cell::get)
+}
+
+/// Run `f(i)` for every `i` in `0..len` on the caller plus up to
+/// `share − 1` pool workers. Returns when every index is done.
+pub fn for_each(share: usize, len: usize, f: impl Fn(usize) + Sync) {
+    let claimed = claim(share, len);
+    if claimed == 0 {
+        // The plain loop, compiled into the caller: kernels keep the
+        // optimizations a call through `&dyn Fn` would cost them.
+        return (0..len).for_each(f);
     }
+    run(claimed, len, &|lo, hi| (lo..hi).for_each(&f));
 }
 
-pub struct ParRange {
-    range: Range<usize>,
-}
-
-impl ParRange {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        broadcast(self.range, &|lo, hi| {
-            for i in lo..hi {
-                f(i);
-            }
-        });
+/// [`for_each`] that returns `f(i)` for every `i` in `0..len`, in index
+/// order.
+pub fn map_collect<R: Send>(share: usize, len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let claimed = claim(share, len);
+    if claimed == 0 {
+        return (0..len).map(f).collect();
     }
-
-    pub fn map<R, F>(self, f: F) -> ParMap<F>
-    where
-        F: Fn(usize) -> R + Sync,
-        R: Send,
-    {
-        ParMap {
-            range: self.range,
-            f,
+    let mut out: Vec<Option<R>> = Vec::with_capacity(len);
+    out.resize_with(len, || None);
+    let slots = SendPtr(out.as_mut_ptr());
+    run(claimed, len, &|lo, hi| {
+        let slots = &slots;
+        for i in lo..hi {
+            // SAFETY: `run` hands out disjoint chunks of `0..len`, so each
+            // slot is written by one thread only, and `out` (len elements)
+            // outlives the launch, which returns after the last chunk.
+            unsafe { *slots.0.add(i) = Some(f(i)) }
         }
-    }
+    });
+    out.into_iter()
+        .map(|v| v.expect("every index ran"))
+        .collect()
 }
 
-pub struct ParMap<F> {
-    range: Range<usize>,
-    f: F,
-}
-
-impl<F> ParMap<F> {
-    pub fn collect<C, R>(self) -> C
-    where
-        F: Fn(usize) -> R + Sync,
-        R: Send,
-        C: FromIterator<R>,
-    {
-        let start = self.range.start;
-        let len = self.range.len();
-        let mut out: Vec<Option<R>> = Vec::with_capacity(len);
-        out.resize_with(len, || None);
-        {
-            let slots = SendSlice(out.as_mut_ptr());
-            let f = &self.f;
-            broadcast(self.range.clone(), &move |lo, hi| {
-                let slots = &slots;
-                for i in lo..hi {
-                    // Safety: each index is visited by exactly one worker
-                    // (disjoint chunks), and `out` outlives the broadcast.
-                    unsafe { slots.0.add(i - start).write(Some(f(i))) }
-                }
-            });
-        }
-        out.into_iter().map(|v| v.expect("slot unfilled")).collect()
-    }
-}
-
-struct SendSlice<R>(*mut Option<R>);
-unsafe impl<R: Send> Send for SendSlice<R> {}
-unsafe impl<R: Send> Sync for SendSlice<R> {}
+struct SendPtr<R>(*mut Option<R>);
+// SAFETY: the pointer is only dereferenced at disjoint indices (see
+// `map_collect`), and `R: Send` lets each value move to its writer.
+unsafe impl<R: Send> Sync for SendPtr<R> {}
 
 // ---------------------------------------------------------------------------
-// Broadcast pool
+// The pool
 // ---------------------------------------------------------------------------
 
 type Body<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
-#[derive(Clone, Copy)]
+/// One launch, on the caller's stack. Claimed workers reach it through a
+/// raw pointer; `run` does not return until `pending` is zero, that is
+/// until every claimed worker has stopped touching it.
 struct Job {
-    /// Lifetime-erased pointer to the caller's body closure. Valid because
-    /// the submitting thread blocks until every worker has left the job.
+    /// The caller's chunk body with its lifetime erased (see `run`).
     body: *const (dyn Fn(usize, usize) + Sync + 'static),
-    counter: *const AtomicUsize,
+    next: AtomicUsize,
     end: usize,
     grain: usize,
-    panic_slot: *const Mutex<Option<PanicPayload>>,
+    /// Claimed workers that have not finished yet.
+    pending: AtomicUsize,
+    caller: Thread,
+    panic: Mutex<Option<PanicPayload>>,
 }
-unsafe impl Send for Job {}
 
-struct PoolState {
-    epoch: u64,
-    job: Option<Job>,
-    running: usize,
+impl Job {
+    fn run_chunks(&self) {
+        // SAFETY: `body` points into the frame of `run`, which outlives
+        // every use (it waits for `pending` to reach zero).
+        let body = unsafe { &*self.body };
+        loop {
+            let lo = self.next.fetch_add(self.grain, Ordering::Relaxed);
+            if lo >= self.end {
+                return;
+            }
+            let hi = (lo + self.grain).min(self.end);
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(lo, hi))) {
+                let mut slot = self.panic.lock().unwrap_or_else(|p| p.into_inner());
+                slot.get_or_insert(payload);
+                // Drain the range so the launch ends promptly.
+                self.next.store(self.end, Ordering::Relaxed);
+                return;
+            }
+        }
+    }
+}
+
+struct Worker {
+    /// The job this worker was handed, or null.
+    job: AtomicPtr<Job>,
+    thread: OnceLock<Thread>,
 }
 
 struct Pool {
-    workers: usize,
-    state: Mutex<PoolState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    /// Serializes broadcasts from concurrent callers (e.g. mpi-sim ranks).
-    submit: Mutex<()>,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+    workers: Vec<Worker>,
+    /// Bit `w` is set while worker `w` is spawned and waiting for a job.
+    idle: AtomicU64,
+    spawned: AtomicUsize,
+    spawn_lock: Mutex<()>,
 }
 
 fn pool() -> &'static Pool {
-    static POOL: OnceLock<&'static Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let workers = std::env::var("RAYON_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool {
+        workers: (0..(cores() - 1).min(MAX_WORKERS))
+            .map(|_| Worker {
+                job: AtomicPtr::new(ptr::null_mut()),
+                thread: OnceLock::new(),
             })
-            .saturating_sub(1) // the submitting thread participates too
-            .min(63);
-        let pool: &'static Pool = Box::leak(Box::new(Pool {
-            workers,
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                running: 0,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            submit: Mutex::new(()),
-        }));
-        for w in 0..workers {
-            std::thread::Builder::new()
-                .name(format!("par-worker-{w}"))
-                .spawn(move || worker_loop(pool))
-                .expect("spawn pool worker");
-        }
-        pool
+            .collect(),
+        idle: AtomicU64::new(0),
+        spawned: AtomicUsize::new(0),
+        spawn_lock: Mutex::new(()),
     })
 }
 
-fn worker_loop(pool: &'static Pool) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = lock(&pool.state);
-            while st.epoch == seen || st.job.is_none() {
-                st = match pool.work_cv.wait(st) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
+impl Pool {
+    /// Take up to `want` workers off the idle mask, spawning new ones
+    /// while the pool is below its size. Returns the claimed set.
+    fn claim(&'static self, want: usize) -> u64 {
+        let mut idle = self.idle.load(Ordering::Acquire);
+        let mut take = 0u64;
+        while idle != 0 {
+            take = lowest_bits(idle, want);
+            match self.idle.compare_exchange_weak(
+                idle,
+                idle & !take,
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(now) => {
+                    idle = now;
+                    take = 0;
+                }
             }
-            seen = st.epoch;
-            st.job.expect("job present")
-        };
-        run_job(job);
-        let mut st = lock(&pool.state);
-        st.running -= 1;
-        if st.running == 0 {
-            pool.done_cv.notify_all();
+        }
+        let short = want - take.count_ones() as usize;
+        if short > 0 && self.spawned.load(Ordering::Relaxed) < self.workers.len() {
+            take |= self.spawn(short);
+        }
+        take
+    }
+
+    /// Spawn up to `n` workers, claimed by the caller from birth.
+    fn spawn(&'static self, n: usize) -> u64 {
+        let _guard = self.spawn_lock.lock().unwrap_or_else(|p| p.into_inner());
+        let first = self.spawned.load(Ordering::Relaxed);
+        let last = (first + n).min(self.workers.len());
+        let mut born = 0u64;
+        for w in first..last {
+            // Workers serve the whole process and are never joined: they
+            // park between jobs and end with the process.
+            let handle = thread::Builder::new()
+                .name(format!("exec-worker-{w}"))
+                .spawn(move || self.worker_loop(w))
+                .expect("spawn executor worker");
+            let _ = self.workers[w].thread.set(handle.thread().clone());
+            born |= 1 << w;
+        }
+        self.spawned.store(last, Ordering::Relaxed);
+        born
+    }
+
+    fn worker_loop(&self, w: usize) {
+        let me = &self.workers[w];
+        loop {
+            let job = me.job.swap(ptr::null_mut(), Ordering::Acquire);
+            if job.is_null() {
+                thread::park();
+                continue;
+            }
+            // SAFETY: the launching thread stored a pointer to its live
+            // `Job` and waits for this worker's `pending` decrement below
+            // before its frame ends.
+            let job = unsafe { &*job };
+            job.run_chunks();
+            let caller = job.caller.clone();
+            self.idle.fetch_or(1 << w, Ordering::Release);
+            // Release: the chunks' writes happen-before the caller's
+            // Acquire load of `pending`. After this the job may be gone.
+            if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                caller.unpark();
+            }
         }
     }
 }
 
-fn run_job(job: Job) {
-    let counter = unsafe { &*job.counter };
-    let body = unsafe { &*job.body };
-    let panic_slot = unsafe { &*job.panic_slot };
-    loop {
-        let lo = counter.fetch_add(job.grain, Ordering::Relaxed);
-        if lo >= job.end {
+/// The lowest `n` set bits of `mask`.
+fn lowest_bits(mut mask: u64, n: usize) -> u64 {
+    let mut out = 0;
+    for _ in 0..n {
+        if mask == 0 {
             break;
         }
-        let hi = (lo + job.grain).min(job.end);
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(lo, hi))) {
-            let mut slot = lock(panic_slot);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-            // Drain the rest of the range so the region terminates promptly.
-            counter.store(job.end, Ordering::Relaxed);
-            break;
-        }
+        let bit = mask & mask.wrapping_neg();
+        out |= bit;
+        mask &= !bit;
+    }
+    out
+}
+
+/// Claim up to `share − 1` idle workers for a launch of `len` items;
+/// none (an inline launch) when `share` or `len` is 1 or no worker is
+/// free.
+fn claim(share: usize, len: usize) -> u64 {
+    match share.min(len).saturating_sub(1) {
+        0 => 0,
+        want => pool().claim(want),
     }
 }
 
-/// Run `body(lo, hi)` over disjoint chunks covering `range`, on the pool
-/// plus the calling thread. Returns after every chunk is done.
-fn broadcast(range: Range<usize>, body: Body<'_>) {
-    let len = range.len();
-    if len == 0 {
-        return;
-    }
+/// Run `body(lo, hi)` over disjoint chunks covering `0..len` on the
+/// caller and the `claimed` workers.
+fn run(claimed: u64, len: usize, body: Body<'_>) {
     let pool = pool();
-    if pool.workers == 0 || len == 1 {
-        body(range.start, range.end);
-        return;
-    }
-    let grain = (len / ((pool.workers + 1) * 4)).max(1);
-    let counter = AtomicUsize::new(range.start);
-    let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
-    // Erase the body's lifetime for the trip through the pool; `broadcast`
-    // does not return until every worker has dropped its reference.
-    let body_static: &(dyn Fn(usize, usize) + Sync + 'static) =
-        unsafe { std::mem::transmute(body) };
+    let helpers = claimed.count_ones() as usize;
+    CLAIMED.with(|c| c.set(c.get() + helpers as u64));
+    // SAFETY: only the lifetime is erased; `run` does not return before
+    // every claimed worker has dropped its reference (`pending` == 0).
+    let body: &(dyn Fn(usize, usize) + Sync + 'static) = unsafe { std::mem::transmute(body) };
     let job = Job {
-        body: body_static as *const _,
-        counter: &counter,
-        end: range.end,
-        grain,
-        panic_slot: &panic_slot,
+        body,
+        next: AtomicUsize::new(0),
+        end: len,
+        grain: (len / ((helpers + 1) * 4)).max(1),
+        pending: AtomicUsize::new(helpers),
+        caller: thread::current(),
+        panic: Mutex::new(None),
     };
-    let _submit = lock(&pool.submit);
-    {
-        let mut st = lock(&pool.state);
-        st.epoch += 1;
-        st.job = Some(job);
-        st.running = pool.workers;
-        pool.work_cv.notify_all();
+    let mut bits = claimed;
+    while bits != 0 {
+        let w = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let worker = &pool.workers[w];
+        worker
+            .job
+            .store(&job as *const Job as *mut Job, Ordering::Release);
+        worker.thread.get().expect("spawned worker").unpark();
     }
-    // Participate; even if the body panics on this thread the catch in
-    // run_job keeps us alive to wait for the workers (their chunks reference
-    // our stack).
-    run_job(job);
-    {
-        let mut st = lock(&pool.state);
-        while st.running > 0 {
-            st = match pool.done_cv.wait(st) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+    // Even if the body panics here, `run_chunks` catches it, so this
+    // thread always reaches the wait below: the workers borrow its stack.
+    job.run_chunks();
+    let mut spins = 0u32;
+    while job.pending.load(Ordering::Acquire) != 0 {
+        if spins < 1 << 10 {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            thread::park();
         }
-        st.job = None;
     }
-    let payload = lock(&panic_slot).take();
+    let payload = job.panic.into_inner().unwrap_or_else(|p| p.into_inner());
     if let Some(payload) = payload {
         panic::resume_unwind(payload);
     }
@@ -288,13 +315,18 @@ fn broadcast(range: Range<usize>, body: Body<'_>) {
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    /// A share that asks for the whole pool.
+    fn all() -> usize {
+        cores().max(2)
+    }
 
     #[test]
     fn for_each_visits_every_index_once() {
         let hits: Vec<AtomicU64> = (0..10_000).map(|_| AtomicU64::new(0)).collect();
-        (0..hits.len()).into_par_iter().for_each(|i| {
+        for_each(all(), hits.len(), |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -302,57 +334,72 @@ mod tests {
 
     #[test]
     fn map_collect_preserves_order() {
-        let v: Vec<f64> = (0..5_000).into_par_iter().map(|i| i as f64 * 0.5).collect();
-        assert_eq!(v.len(), 5_000);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i as f64 * 0.5);
+        for share in 1..=3 {
+            let v: Vec<f64> = map_collect(share, 5_000, |i| i as f64 * 0.5);
+            assert_eq!(v.len(), 5_000);
+            for (i, x) in v.iter().enumerate() {
+                assert_eq!(*x, i as f64 * 0.5);
+            }
         }
     }
 
     #[test]
     fn empty_and_single() {
-        (0..0).into_par_iter().for_each(|_| panic!("must not run"));
-        let v: Vec<usize> = (7..8).into_par_iter().map(|i| i).collect();
+        for_each(all(), 0, |_| panic!("must not run"));
+        let v: Vec<usize> = map_collect(all(), 1, |i| i + 7);
         assert_eq!(v, vec![7]);
     }
 
     #[test]
-    fn nested_sequential_calls_reuse_pool() {
+    fn sequential_launches_reuse_the_pool() {
         for round in 0..50 {
-            let s: Vec<u64> = (0..64)
-                .into_par_iter()
-                .map(|i| (i as u64) + round)
-                .collect();
+            let s: Vec<u64> = map_collect(all(), 64, |i| i as u64 + round);
             assert_eq!(s.iter().sum::<u64>(), (0..64).sum::<u64>() + 64 * round);
         }
+        assert!(spawned_workers() < cores());
     }
 
     #[test]
-    fn panic_propagates() {
-        let r = std::panic::catch_unwind(|| {
-            (0..100).into_par_iter().for_each(|i| {
+    fn panic_propagates_and_the_pool_stays_usable() {
+        let r = panic::catch_unwind(|| {
+            for_each(all(), 100, |i| {
                 if i == 57 {
                     panic!("boom");
                 }
             });
         });
         assert!(r.is_err());
-        // Pool must still be usable afterwards.
-        let v: Vec<usize> = (0..10).into_par_iter().map(|i| i).collect();
+        let v: Vec<usize> = map_collect(all(), 10, |i| i);
         assert_eq!(v, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn concurrent_submitters_serialize() {
-        std::thread::scope(|s| {
+    fn concurrent_callers_share_the_pool() {
+        thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..20 {
-                        let v: Vec<usize> = (0..256).into_par_iter().map(|i| i * 2).collect();
+                        let v: Vec<usize> = map_collect(all(), 256, |i| i * 2);
                         assert_eq!(v[100], 200);
                     }
                 });
             }
         });
+        assert!(spawned_workers() < cores());
+    }
+
+    #[test]
+    fn share_one_runs_inline_and_claims_nothing() {
+        let before = claimed_by_this_thread();
+        let caller = thread::current().id();
+        for_each(1, 1_000, |_| assert_eq!(thread::current().id(), caller));
+        assert_eq!(claimed_by_this_thread(), before);
+    }
+
+    #[test]
+    fn lowest_bits_takes_from_the_bottom() {
+        assert_eq!(lowest_bits(0b1011_0100, 2), 0b0001_0100);
+        assert_eq!(lowest_bits(0b100, 5), 0b100);
+        assert_eq!(lowest_bits(0, 3), 0);
     }
 }

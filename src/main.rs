@@ -62,10 +62,10 @@ fn cmd_run(flags: HashMap<String, String>) {
         .get("backend")
         .map(String::as_str)
         .unwrap_or("threads");
-    let space = Space::from_name(backend).unwrap_or_else(|| {
+    let Some(space_name) = Space::from_name(backend).map(|s| s.name()) else {
         eprintln!("unknown backend '{backend}'");
         std::process::exit(2);
-    });
+    };
     let mut opts = ModelOptions::default();
     if flags.get("bathy").map(String::as_str) == Some("aqua") {
         opts.bathymetry = Bathymetry::Flat(4000.0);
@@ -75,14 +75,13 @@ fn cmd_run(flags: HashMap<String, String>) {
     let cfg = res.config().scaled_down(scale, nz);
     println!(
         "LICOMK++ run: {} scaled to {}x{}x{}, backend {}, {ranks} rank(s), {days} day(s)",
-        cfg.name,
-        cfg.nx,
-        cfg.ny,
-        cfg.nz,
-        space.name()
+        cfg.name, cfg.nx, cfg.ny, cfg.nz, space_name
     );
     World::run(ranks, move |comm| {
-        let mut m = Model::new(comm, cfg.clone(), space.clone(), opts.clone());
+        // Each rank builds its own space: on SwAthread that is its own
+        // core group, as each MPI rank drives its own CG on Sunway.
+        let space = Space::from_name(backend).expect("backend name checked above");
+        let mut m = Model::new(comm, cfg.clone(), space, opts.clone());
         // Restarts are a one-slot checkpoint ring: every field is
         // CRC-verified and all ranks agree on the step they resume from.
         if let Some(dir) = &restart_dir {
