@@ -150,7 +150,6 @@ fn main() {
             };
             let space = kokkos_rs::Space::sw_athread_with(sunway_sim::CgConfig {
                 num_cpes: 16,
-                host_workers: 8,
                 ..sunway_sim::CgConfig::default()
             });
             let mut m = Model::new(comm, cfg.clone(), space.clone(), opts);

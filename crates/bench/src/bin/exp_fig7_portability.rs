@@ -37,7 +37,6 @@ fn main() {
             // seconds; results are independent of CG size.
             kokkos_rs::Space::sw_athread_with(sunway_sim::CgConfig {
                 num_cpes: 16,
-                host_workers: 8,
                 ..sunway_sim::CgConfig::default()
             })
         } else {

@@ -46,13 +46,15 @@ fn not_registered<F>(kind: &str) -> ! {
 // backend dispatches through the registry trampolines in each entry point
 // instead, and its core group runs its CPE slots on the same executor.
 
-/// Host launches of fewer iterations run inline on the caller. Handing
-/// a launch to a pool worker costs about 13 µs on a 2-core x86-64 host
-/// (perfbench `kokkos.launch_overhead_us.threads` = 13.2 µs for its
-/// 4096-item empty launch, every one of which went to the pool), and a
-/// light stencil iteration about 4 ns; splitting n iterations over two
-/// cores saves n · 2 ns, which repays the hand-off only past ~6.6k
-/// iterations.
+/// Host launches of fewer iterations run inline on the caller. Measured
+/// on a 2-core x86-64 host at share 2: handing a launch to a pool worker
+/// costs 3.8–4.2 µs (an empty launch of 64 or 256 tiles), and a 7-point
+/// stencil at ~5 ns per iteration first gains from the worker near 4k
+/// iterations (−1.6 to +2.9 µs at 4.3k, +4 to +12 µs at 6.5k–8.6k,
+/// +18 to +20 µs at 13k). In 1-rank Threads model runs at 45×27×6,
+/// 60×36×6 and 90×54×30, a 4096 cut-off was no faster than this one, so
+/// launches stay inline up to where the worker's gain is clear of the
+/// host's noise.
 const INLINE_ITEMS: usize = 8192;
 
 /// The share a host launch of `items` iterations runs with: 1 (inline)

@@ -7,6 +7,7 @@
 //! knob.
 #![allow(clippy::field_reassign_with_default)]
 
+use kokkos_rs::executor;
 use licom::checkpoint::{CheckpointManager, RecoveryPolicy};
 use licom::model::{Model, ModelOptions};
 use mpi_sim::RetryPolicy;
@@ -21,12 +22,12 @@ fn cfg() -> ocean_grid::ModelConfig {
 
 /// Core-group geometries spanning the tiling space: tiny LDM (many small
 /// tiles, latency-bound), full 256 kB LDM (large tiles), and an uneven
-/// 3-CPE cluster (ragged tile-to-CPE assignment).
+/// 3-CPE cluster (ragged tile-to-CPE assignment, and ragged CPE-to-slot
+/// assignment whenever the launch's share gives it two slots).
 fn cg_configs() -> Vec<(&'static str, CgConfig)> {
     let mut uneven = CgConfig::test_small();
     uneven.num_cpes = 3;
     uneven.ldm_bytes = 8 * 1024;
-    uneven.host_workers = 2;
     vec![
         ("test_small", CgConfig::test_small()),
         ("bench_full_ldm", CgConfig::bench()),
@@ -34,29 +35,48 @@ fn cg_configs() -> Vec<(&'static str, CgConfig)> {
     ]
 }
 
-fn run_checksums(space: kokkos_rs::Space, overlap: bool, steps: usize) -> Vec<u64> {
-    World::run(3, move |comm| {
+/// Checksums of `steps` steps on `ranks` ranks, and the executor
+/// workers the ranks' launches claimed in total.
+fn run_checksums(
+    ranks: usize,
+    space: kokkos_rs::Space,
+    overlap: bool,
+    steps: usize,
+) -> (Vec<u64>, u64) {
+    let out = World::run(ranks, move |comm| {
         let mut opts = ModelOptions::default();
         opts.overlap = overlap;
+        let claimed = executor::claimed_by_this_thread();
         let mut m = Model::new(comm, cfg(), space.clone(), opts);
         m.run_steps(steps);
-        m.checksum()
-    })
+        (m.checksum(), executor::claimed_by_this_thread() - claimed)
+    });
+    let claimed = out.iter().map(|r| r.1).sum();
+    (out.into_iter().map(|r| r.0).collect(), claimed)
 }
 
 /// Tentpole acceptance: every CG geometry (hence every tile schedule)
 /// equals Serial bitwise, dense and with the overlap engine's split
-/// kernels + carried exchanges on top.
+/// kernels + carried exchanges on top. A lone rank owns every core, so
+/// its launches deal the CPEs onto `min(num_cpes, cores)` slots run by
+/// executor workers; three ranks on a host of fewer than six cores get
+/// one slot each.
 #[test]
 fn swathread_matches_serial_across_cg_geometries() {
-    for overlap in [false, true] {
-        let want = run_checksums(kokkos_rs::Space::serial(), overlap, 3);
-        for (name, cg) in cg_configs() {
-            let got = run_checksums(kokkos_rs::Space::sw_athread_with(cg), overlap, 3);
-            assert_eq!(
-                want, got,
-                "SwAthread({name}) diverged from Serial (overlap={overlap})"
-            );
+    for ranks in [3, 1] {
+        for overlap in [false, true] {
+            let (want, _) = run_checksums(ranks, kokkos_rs::Space::serial(), overlap, 3);
+            for (name, cg) in cg_configs() {
+                let space = kokkos_rs::Space::sw_athread_with(cg);
+                let (got, claimed) = run_checksums(ranks, space, overlap, 3);
+                assert_eq!(
+                    want, got,
+                    "SwAthread({name}) diverged from Serial ({ranks} ranks, overlap={overlap})"
+                );
+                if ranks == 1 && executor::cores() > 1 {
+                    assert!(claimed > 0, "SwAthread({name}) never used a pooled slot");
+                }
+            }
         }
     }
 }

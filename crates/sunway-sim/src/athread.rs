@@ -18,7 +18,7 @@
 //! Simulated cycles are deterministic regardless of how the logical CPEs
 //! are multiplexed onto OS threads, so the host scheduling is free to chase
 //! wall-clock. A core group owns no threads: a launch spreads its CPEs
-//! over `min(host_workers, num_cpes, share)` *slots* and hands them to a
+//! over `min(num_cpes, share)` *slots* and hands them to a
 //! [`SlotRunner`] the caller supplies — kokkos-rs passes one backed by the
 //! process executor, sized by the launching space's core share, so the
 //! simulated CPEs draw on the same core budget as every other launch. With
@@ -337,18 +337,13 @@ impl CoreGroup {
     /// Launch `kernel` on every logical CPE and wait for it (`athread_spawn`
     /// then `athread_join`); `arg` is the single pointer-sized opaque
     /// argument the real API allows. The CPEs are dealt round-robin onto
-    /// `min(host_workers, num_cpes, share)` slots, which `runner` executes.
+    /// `min(num_cpes, share)` slots, which `runner` executes.
     /// Counters fold into the CG aggregate.
     ///
     /// # Panics
     /// If the kernel panicked on any CPE.
     pub fn run_with(&mut self, kernel: CpeKernel, arg: usize, share: usize, runner: SlotRunner) {
-        let slots = self
-            .cfg
-            .host_workers
-            .min(self.cfg.num_cpes)
-            .min(share)
-            .max(1);
+        let slots = self.cfg.num_cpes.min(share).max(1);
         let failure: Mutex<Option<String>> = Mutex::new(None);
         let (cfg, ldm, per_cpe) = (&self.cfg, &self.ldm, &self.per_cpe);
         runner(slots, &|slot| {

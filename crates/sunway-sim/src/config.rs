@@ -28,11 +28,6 @@ pub struct CgConfig {
     pub dma_latency_cycles: u64,
     /// SIMD width in `f64` lanes (512-bit vectors → 8 lanes).
     pub simd_f64_lanes: usize,
-    /// Upper bound on the host slots one launch deals its logical CPEs
-    /// onto; the launch's core share and `num_cpes` bound it further (see
-    /// [`crate::CoreGroup::run_with`]). Results and simulated counters are
-    /// independent of this value; only host wall-clock changes.
-    pub host_workers: usize,
 }
 
 impl Default for CgConfig {
@@ -44,7 +39,6 @@ impl Default for CgConfig {
             mem_bandwidth_bps: 51.2e9,
             dma_latency_cycles: 2048,
             simd_f64_lanes: 8,
-            host_workers: CPES_PER_CG,
         }
     }
 }
@@ -55,7 +49,6 @@ impl CgConfig {
         Self {
             num_cpes: 8,
             ldm_bytes: 16 * 1024,
-            host_workers: 4,
             ..Self::default()
         }
     }
@@ -66,7 +59,6 @@ impl CgConfig {
     pub fn bench() -> Self {
         Self {
             num_cpes: 8,
-            host_workers: 4,
             ..Self::default()
         }
     }

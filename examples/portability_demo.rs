@@ -28,7 +28,6 @@ fn main() {
         let space = if name == "SwAthread" {
             Space::sw_athread_with(licomkpp::sunway::CgConfig {
                 num_cpes: 16,
-                host_workers: 4,
                 ..licomkpp::sunway::CgConfig::default()
             })
         } else {

@@ -3,8 +3,12 @@
 //! invariance, and the paper-headline numbers.
 #![allow(clippy::field_reassign_with_default)]
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use licomkpp::grid::{Bathymetry, Resolution};
-use licomkpp::kokkos::Space;
+use licomkpp::kokkos::profiling as kprof;
+use licomkpp::kokkos::{KernelId, KernelInfo, ProfilingHooks, Space};
 use licomkpp::model::{Model, ModelOptions};
 use licomkpp::mpi::World;
 
@@ -114,6 +118,41 @@ fn all_four_backends_bitwise_identical_through_facade() {
         "backends diverged: {sums:x?}"
     );
     assert_eq!(sums[0], CHECKSUM_1_RANK, "moved off the recorded checksum");
+}
+
+#[test]
+fn pooled_launches_match_serial_bitwise() {
+    // A lone rank gets every core, and at 90 x 54 x 6 each 3-D launch
+    // spans ~29k iterations, past the size under which host launches run
+    // inline: Threads and DeviceSim tiles run on executor workers here,
+    // which `small_cfg()`'s ~7k-iteration launches and the 3-rank goldens
+    // (one core per rank on small hosts) never do.
+    let cfg = Resolution::Coarse100km.config().scaled_down(4, 6);
+    for overlap in [false, true] {
+        let run = |space: Space| {
+            let cfg = cfg.clone();
+            World::run(1, move |comm| {
+                let mut opts = ModelOptions::default();
+                opts.overlap = overlap;
+                let claimed = licomkpp::kokkos::executor::claimed_by_this_thread();
+                let mut m = Model::new(comm, cfg.clone(), space.clone(), opts);
+                m.run_steps(3);
+                let claimed = licomkpp::kokkos::executor::claimed_by_this_thread() - claimed;
+                (m.checksum(), claimed)
+            })
+            .pop()
+            .unwrap()
+        };
+        let (want, _) = run(Space::serial());
+        for space in [Space::threads(), Space::device_sim()] {
+            let name = space.name();
+            let (got, claimed) = run(space);
+            assert_eq!(got, want, "{name} diverged from Serial (overlap={overlap})");
+            if licomkpp::kokkos::executor::cores() > 1 {
+                assert!(claimed > 0, "{name} never handed a launch to a worker");
+            }
+        }
+    }
 }
 
 #[test]
@@ -245,18 +284,65 @@ fn paper_headline_claims_hold_in_projection() {
 fn timers_capture_the_papers_kernel_profile() {
     // The halo-update-heavy barotropic phase must be a dominant cost and
     // advection_tracer must lead the 3-D kernels (§V-C2).
+    // Each timer opens a profiling region of its name; the kernel
+    // iterations launched inside those regions weigh the phases the same
+    // on a loaded host as on an idle one, which their wall-clock seconds
+    // do not.
     let cfg = small_cfg();
     World::run(1, |comm| {
+        let work = Arc::new(RegionWork::default());
+        let key = kprof::next_instance_key();
+        kprof::register_instance_hooks(key, work.clone());
+        let scope = kprof::enter_instance(key);
         let mut m = Model::new(comm, cfg.clone(), Space::serial(), ModelOptions::default());
         m.run_steps(10);
+        drop(scope);
+        kprof::unregister_instance_hooks(key);
         let barotropic = m.timers.seconds("barotropic");
         let advection = m.timers.seconds("advection_tracer");
         let eos = m.timers.seconds("eos");
         assert!(barotropic > 0.0 && advection > 0.0 && eos > 0.0);
         assert!(
-            barotropic > eos,
+            work.items("barotropic") > work.items("eos"),
             "barotropic (the halo bottleneck) should outweigh pointwise EOS"
         );
         assert_eq!(m.timers.calls("advection_tracer"), 10);
     });
+}
+
+/// Kernel iterations launched while each profiling region was open. A
+/// kernel counts toward every region around it, as nested region timers
+/// do.
+#[derive(Default)]
+struct RegionWork {
+    open: Mutex<Vec<&'static str>>,
+    items: Mutex<HashMap<&'static str, u64>>,
+}
+
+impl RegionWork {
+    fn items(&self, region: &str) -> u64 {
+        self.items.lock().unwrap().get(region).copied().unwrap_or(0)
+    }
+
+    fn add(&self, n: u64) {
+        let mut items = self.items.lock().unwrap();
+        for &region in self.open.lock().unwrap().iter() {
+            *items.entry(region).or_default() += n;
+        }
+    }
+}
+
+impl ProfilingHooks for RegionWork {
+    fn begin_parallel_for(&self, _: KernelId, info: &KernelInfo) {
+        self.add(info.work_items);
+    }
+    fn begin_parallel_reduce(&self, _: KernelId, info: &KernelInfo) {
+        self.add(info.work_items);
+    }
+    fn push_region(&self, name: &'static str) {
+        self.open.lock().unwrap().push(name);
+    }
+    fn pop_region(&self, _: &'static str) {
+        self.open.lock().unwrap().pop();
+    }
 }
